@@ -75,16 +75,34 @@ struct FaultSpec {
   }
 };
 
-/// What one download attempt experiences.
+/// Which fault shaped one attempt (a label for tests and study output; the
+/// player engine reads only AttemptOutcome's flags).
+enum class CdnAttemptClass {
+  kOk,         ///< clean transfer against the effective trace
+  kHttpError,  ///< 4xx/5xx after one RTT; zero payload bytes
+  kTruncated,  ///< connection closed after `fail_fraction` of the bytes
+  kCorrupted,  ///< full payload, failed checksum; every byte wasted
+  kSlow,       ///< crawls at a token rate (slow loris / slow start)
+};
+
+/// Stable lower-case identifier (timeline / study output).
+const char* to_string(CdnAttemptClass kind) noexcept;
+
+/// What one download attempt experiences — the one outcome type for both
+/// fault layers: FaultInjector (the link) and SegmentSource (a CDN server).
 struct AttemptOutcome {
-  /// Completion against the effective (outage-zeroed) trace. Meaningful when
-  /// the attempt neither failed nor stalled; for a failed attempt it is the
-  /// hypothetical full completion, for a stalled one the crawl completion.
+  /// Completion against the effective (outage-zeroed) trace, plus any
+  /// server RTT. For a failed attempt it is the hypothetical full
+  /// completion, for a crawling one the crawl completion.
   DownloadResult result;
   bool failed = false;    ///< dies at `fail_at_s` after `fail_fraction` bytes
-  bool stalled = false;   ///< slow loris: crawls at spec.stall_rate_mbps
+  /// Moves bytes at result.mean_throughput_mbps whatever the link capacity:
+  /// FaultInjector's stuck transfer (spec.stall_rate_mbps) or a CDN source
+  /// stuck in slow start. May be set together with `failed`.
+  bool crawling = false;
   double fail_at_s = 0.0;
   double fail_fraction = 0.0;
+  CdnAttemptClass kind = CdnAttemptClass::kOk;
 };
 
 /// Scripted windows validated plus seeded-random windows (Poisson arrivals

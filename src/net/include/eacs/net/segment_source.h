@@ -95,30 +95,6 @@ struct CdnFaultSpec {
   }
 };
 
-/// What a server fault did to one attempt.
-enum class CdnAttemptClass {
-  kOk,         ///< clean transfer against the source's effective trace
-  kHttpError,  ///< 4xx/5xx after one RTT; zero payload bytes
-  kTruncated,  ///< connection closed after `fail_fraction` of the bytes
-  kCorrupted,  ///< full payload, failed checksum; every byte wasted
-  kSlow,       ///< crawls at spec.slow_scale of the source's capacity
-};
-
-/// Stable lower-case identifier (timeline / study output).
-const char* to_string(CdnAttemptClass kind) noexcept;
-
-/// Outcome of one attempt against one source.
-struct SourceAttemptOutcome {
-  /// Completion against the source's effective trace (plus base RTT). For a
-  /// failed attempt this is the hypothetical full completion; for a slow one
-  /// the crawl completion.
-  DownloadResult result;
-  CdnAttemptClass kind = CdnAttemptClass::kOk;
-  bool failed = false;        ///< kHttpError / kTruncated / kCorrupted
-  double fail_at_s = 0.0;     ///< when the attempt dies
-  double fail_fraction = 0.0; ///< payload fraction moved before death
-};
-
 /// Static description of one CDN source.
 struct CdnSourceConfig {
   std::string name = "origin";
@@ -182,8 +158,8 @@ class SegmentSource {
   /// Deterministic: draws depend only on (spec seed, source id, segment,
   /// attempt), so hedged duplicates on another source never perturb the
   /// primary's outcome.
-  SourceAttemptOutcome attempt(std::size_t segment, std::size_t attempt,
-                               double start_s, double size_megabits) const;
+  AttemptOutcome attempt(std::size_t segment, std::size_t attempt,
+                         double start_s, double size_megabits) const;
 
   /// Held-open rescue transfer: always completes (origin outages still slow
   /// it via the effective trace); no per-attempt faults, no RTT surcharge.

@@ -20,6 +20,17 @@ std::uint64_t attempt_seed(std::uint64_t seed, std::size_t segment,
 
 }  // namespace
 
+const char* to_string(CdnAttemptClass kind) noexcept {
+  switch (kind) {
+    case CdnAttemptClass::kOk: return "ok";
+    case CdnAttemptClass::kHttpError: return "http_error";
+    case CdnAttemptClass::kTruncated: return "truncated";
+    case CdnAttemptClass::kCorrupted: return "corrupted";
+    case CdnAttemptClass::kSlow: return "slow";
+  }
+  return "unknown";
+}
+
 std::vector<OutageWindow> build_outage_schedule(
     const std::vector<OutageWindow>& scripted, double rate_per_min,
     double mean_s, std::uint64_t seed, const trace::TimeSeries& trace) {
@@ -157,7 +168,8 @@ AttemptOutcome FaultInjector::attempt(std::size_t segment_index, std::size_t att
   const double fraction = rng.uniform(0.05, 0.95);
 
   if (stalled) {
-    out.stalled = true;
+    out.crawling = true;
+    out.kind = CdnAttemptClass::kSlow;
     const double rate = std::max(spec_.stall_rate_mbps, 1e-6);
     out.result.start_s = start_s;
     out.result.size_megabits = size_megabits;
@@ -169,6 +181,7 @@ AttemptOutcome FaultInjector::attempt(std::size_t segment_index, std::size_t att
   out.result = downloader_.download(start_s, size_megabits);
   if (failed) {
     out.failed = true;
+    out.kind = CdnAttemptClass::kTruncated;
     out.fail_fraction = fraction;
     out.fail_at_s =
         size_megabits > 0.0

@@ -41,17 +41,6 @@ bool inside_windows(const std::vector<OutageWindow>& windows,
 
 }  // namespace
 
-const char* to_string(CdnAttemptClass kind) noexcept {
-  switch (kind) {
-    case CdnAttemptClass::kOk: return "ok";
-    case CdnAttemptClass::kHttpError: return "http_error";
-    case CdnAttemptClass::kTruncated: return "truncated";
-    case CdnAttemptClass::kCorrupted: return "corrupted";
-    case CdnAttemptClass::kSlow: return "slow";
-  }
-  return "unknown";
-}
-
 const char* to_string(BreakerState state) noexcept {
   switch (state) {
     case BreakerState::kClosed: return "closed";
@@ -109,10 +98,9 @@ double SegmentSource::error_probability(double t_s) const noexcept {
   return std::clamp(p, 0.0, 0.95);
 }
 
-SourceAttemptOutcome SegmentSource::attempt(std::size_t segment,
-                                            std::size_t attempt, double start_s,
-                                            double size_megabits) const {
-  SourceAttemptOutcome out;
+AttemptOutcome SegmentSource::attempt(std::size_t segment, std::size_t attempt,
+                                      double start_s, double size_megabits) const {
+  AttemptOutcome out;
   const double rtt = config_.base_rtt_s;
 
   // The RTT surcharge delays every completion; the measured throughput the
@@ -157,6 +145,7 @@ SourceAttemptOutcome SegmentSource::attempt(std::size_t segment,
   if (slow) {
     // Stuck in slow start: the transfer crawls at slow_scale of capacity.
     out.kind = CdnAttemptClass::kSlow;
+    out.crawling = true;
     const auto full = downloader_.download(start_s, size_megabits);
     out.result.start_s = start_s;
     out.result.size_megabits = size_megabits;

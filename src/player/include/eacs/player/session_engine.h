@@ -11,14 +11,15 @@
 //  * SoloLinkModel    — trace-driven dedicated link; every attempt completes
 //                       (the fault-free player semantics);
 //  * FaultLinkModel   — wraps net::FaultInjector; attempts can fail, stall or
-//                       time out, engaging ResilienceConfig's state machine
+//                       time out, engaging ResilienceConfig's retry machine
 //                       (deadlines, bounded retries, backoff, degradation,
-//                       abandonment, rescue fetch);
+//                       abandonment, rescue fetch) with the link as its one
+//                       delivery leg;
 //  * CdnLinkModel     — multi-source CDN delivery: N SegmentSources with
-//                       per-source server faults; the engine adds circuit
-//                       breakers, health-scored failover and hedged requests
-//                       (first successful finisher wins, the loser's bytes
-//                       are priced as wasted energy);
+//                       per-source server faults; the same retry machine
+//                       adds circuit breakers, health-scored failover and
+//                       hedged requests (first successful finisher wins,
+//                       the loser's bytes are priced as wasted energy);
 //  * SharedLinkModel  — processor-sharing bottleneck: concurrent downloads
 //                       split the capacity equally; integrated on a fixed
 //                       step grid with sub-step completions resolved exactly.
@@ -61,7 +62,7 @@ namespace eacs::player {
 /// Sentinel for SessionEvent fields that do not apply to an event.
 inline constexpr std::size_t kNoIndex = static_cast<std::size_t>(-1);
 
-/// Everything the engine can report. Analytic links (solo, fault) emit
+/// Everything the engine can report. Analytic links (solo, fault, CDN) emit
 /// request/complete/failure/drain events with exact timestamps; the stepped
 /// shared link additionally emits per-step kDownloadProgress and timestamps
 /// intra-step events at the step boundary.
@@ -168,19 +169,18 @@ class VibrationClock {
 
 /// How the engine reaches the network. Two resolution modes:
 ///
-///  * analytic (stepped() == false): the link resolves one attempt in closed
-///    form via attempt()/rescue(); unreliable() decides whether the engine
-///    engages the resilience state machine around those attempts;
-///  * stepped (stepped() == true): completion times depend on who else is
-///    downloading, so the engine integrates on SessionEngineConfig::step_s
-///    steps and queries capacity_at() each step.
+///  * analytic (cells() empty): the link resolves one attempt in closed form;
+///    unreliable() decides whether the engine runs its retry machine around
+///    those attempts;
+///  * stepped (cells() non-empty): completion times depend on who else is
+///    downloading, so the engine integrates each cell's capacity trace on
+///    SessionEngineConfig::step_s steps.
 ///
-/// Methods that do not belong to the model's mode throw std::logic_error.
+/// Analytic methods called on a stepped link throw std::logic_error.
 class LinkModel {
  public:
   virtual ~LinkModel() = default;
 
-  virtual bool stepped() const noexcept { return false; }
   virtual bool unreliable() const noexcept { return false; }
 
   // --- analytic links -----------------------------------------------------
@@ -200,9 +200,10 @@ class LinkModel {
     return nullptr;
   }
   /// CDN links only: the session's segment sources. Non-empty together with
-  /// unreliable() engages the engine's multi-source failover machine
-  /// (per-source breakers, health-scored selection, hedged requests)
-  /// instead of the single-source resilience machine.
+  /// unreliable() makes the sources the retry machine's delivery legs, with
+  /// per-source breakers, health-scored selection and (two or more sources)
+  /// hedged requests. Empty: the link itself is the machine's single leg,
+  /// reached through attempt()/rescue()/megabits_over()/in_outage().
   virtual std::span<const net::SegmentSource> sources() const noexcept {
     return {};
   }
@@ -220,24 +221,12 @@ class LinkModel {
   }
 
   // --- stepped links ------------------------------------------------------
-  /// Instantaneous shared capacity at `t_s` (Mbps).
-  virtual double capacity_at(double t_s) const;
-
-  /// Stepped links: the underlying capacity trace when capacity_at() is a
-  /// plain TimeSeries::linear_at over it, letting the engine keep a stateful
-  /// trace cursor across steps instead of re-binary-searching per step.
-  /// Null (the default) falls back to per-step capacity_at() calls.
-  virtual const trace::TimeSeries* capacity_series() const noexcept {
-    return nullptr;
-  }
-
-  /// Stepped links: the per-cell capacity traces of a cellular network, one
-  /// processor-shared bottleneck per base station. Non-empty engages the
-  /// engine's multi-cell path (clients attach at SessionClient::home_cell and
-  /// follow their handoff route); SharedLinkModel reports its single
-  /// bottleneck here, which is how the classic multi-client run becomes a
-  /// one-cell configuration of that path. Empty (the default) keeps the
-  /// legacy single-bottleneck stepping over capacity_at().
+  /// The per-cell capacity traces (Mbps), one processor-shared bottleneck
+  /// per base station. Non-empty makes the link stepped: clients attach at
+  /// SessionClient::home_cell and follow their handoff route.
+  /// SharedLinkModel reports its single bottleneck here, which is how the
+  /// classic multi-client run becomes a one-cell configuration of the same
+  /// path. Empty (the default): an analytic link.
   virtual std::span<const trace::TimeSeries* const> cells() const noexcept {
     return {};
   }
@@ -256,7 +245,6 @@ class SoloLinkModel final : public LinkModel {
 
   net::AttemptOutcome attempt(std::size_t segment, std::size_t attempt,
                               double start_s, double size_megabits) const override;
-  net::DownloadResult rescue(double start_s, double size_megabits) const override;
   const net::SegmentDownloader* fast_downloader() const noexcept override {
     return &downloader_;
   }
@@ -298,20 +286,18 @@ class FaultLinkModel final : public LinkModel {
 /// certified no-op the sim studies' baselines rely on. Otherwise the engine
 /// runs the CDN failover machine: per-source circuit breakers, health-scored
 /// source selection and hedged requests (ResilienceConfig's CDN knobs).
-/// The analytic LinkModel methods delegate to source 0 (the origin), which
-/// also provides the fault seed for backoff jitter and the outage schedule
-/// surfaced as kFaultTransition events.
+/// Source 0 (the origin) provides the fault seed for backoff jitter and the
+/// outage schedule surfaced as kFaultTransition events; every other fetch
+/// goes to the sources directly.
 class CdnLinkModel final : public LinkModel {
  public:
   /// Throws std::invalid_argument on an empty source list.
   explicit CdnLinkModel(std::span<const net::SegmentSource> sources);
 
   bool unreliable() const noexcept override;
+  /// Source 0's attempt (reached only on the reliable path).
   net::AttemptOutcome attempt(std::size_t segment, std::size_t attempt,
                               double start_s, double size_megabits) const override;
-  net::DownloadResult rescue(double start_s, double size_megabits) const override;
-  double megabits_over(double t0, double t1) const override;
-  bool in_outage(double t_s) const noexcept override;
   std::uint64_t fault_seed() const noexcept override;
   const std::vector<net::OutageWindow>* outage_schedule() const noexcept override;
   std::span<const net::SegmentSource> sources() const noexcept override {
@@ -327,19 +313,14 @@ class CdnLinkModel final : public LinkModel {
   std::span<const net::SegmentSource> sources_;
 };
 
-/// Processor-sharing bottleneck: the engine divides capacity_at(t) equally
-/// among clients with an in-flight download. The capacity trace is unowned
-/// and must outlive the model.
+/// Processor-sharing bottleneck: the engine divides the capacity trace
+/// equally among clients with an in-flight download. The capacity trace is
+/// unowned and must outlive the model.
 class SharedLinkModel final : public LinkModel {
  public:
   /// Throws std::invalid_argument on an empty capacity trace.
   explicit SharedLinkModel(const trace::TimeSeries& capacity_mbps);
 
-  bool stepped() const noexcept override { return true; }
-  double capacity_at(double t_s) const override;
-  const trace::TimeSeries* capacity_series() const noexcept override {
-    return capacity_;
-  }
   std::span<const trace::TimeSeries* const> cells() const noexcept override {
     return {&capacity_, 1};
   }
@@ -361,12 +342,6 @@ class CellularLinkModel final : public LinkModel {
   /// capacity trace.
   explicit CellularLinkModel(std::span<const trace::TimeSeries* const> cells);
 
-  bool stepped() const noexcept override { return true; }
-  /// Cell 0's capacity (the LinkModel single-bottleneck view).
-  double capacity_at(double t_s) const override;
-  const trace::TimeSeries* capacity_series() const noexcept override {
-    return cells_.front();
-  }
   std::span<const trace::TimeSeries* const> cells() const noexcept override {
     return cells_;
   }
@@ -442,21 +417,17 @@ class SessionEngine {
  private:
   PlaybackResult run_analytic(const SessionClient& client, const LinkModel& link,
                               SessionObserver* observer) const;
-  std::vector<PlaybackResult> run_stepped(std::span<const SessionClient> clients,
-                                          const LinkModel& link,
-                                          SessionObserver* observer) const;
-  /// The pre-refactor single-bottleneck stepping loop, kept verbatim so the
-  /// differential harness can certify the cellular path against it (and as
-  /// the fallback for custom stepped links that expose no cells()).
+  /// The pre-refactor single-bottleneck stepping loop, kept so the
+  /// differential harness can certify the cellular path against it; runs
+  /// only for a one-cell link in reference_mode.
   std::vector<PlaybackResult> run_stepped_reference(
-      std::span<const SessionClient> clients, const LinkModel& link,
+      std::span<const SessionClient> clients, const trace::TimeSeries& capacity,
       SessionObserver* observer) const;
   /// The cellular path: per-cell stepping driven by a global (step, cell)
   /// event heap, with handoffs applied at step edges. Single cell is
   /// bit-identical to run_stepped_reference.
   std::vector<PlaybackResult> run_cells(std::span<const SessionClient> clients,
                                         std::span<const trace::TimeSeries* const> cells,
-                                        const LinkModel& link,
                                         SessionObserver* observer) const;
 
   SessionEngineConfig config_;

@@ -196,6 +196,46 @@ struct SessionRuntime {
   }
 };
 
+/// The delivery legs of the unreliable analytic path. A CDN link's sources
+/// are its legs, indexed by source; any other unreliable link is a single
+/// leg 0 reached through the link itself, whose events carry source =
+/// kNoIndex. This view is what lets one retry machine serve both.
+class DeliveryLegs {
+ public:
+  explicit DeliveryLegs(const LinkModel& link)
+      : link_(&link), sources_(link.sources()) {}
+
+  std::size_t size() const noexcept {
+    return sources_.empty() ? 1 : sources_.size();
+  }
+  std::size_t event_source(std::size_t leg) const noexcept {
+    return sources_.empty() ? kNoIndex : leg;
+  }
+  net::AttemptOutcome attempt(std::size_t leg, std::size_t segment,
+                              std::size_t attempt, double start_s,
+                              double size_megabits) const {
+    return sources_.empty()
+               ? link_->attempt(segment, attempt, start_s, size_megabits)
+               : sources_[leg].attempt(segment, attempt, start_s, size_megabits);
+  }
+  net::DownloadResult rescue(std::size_t leg, double start_s,
+                             double size_megabits) const {
+    return sources_.empty() ? link_->rescue(start_s, size_megabits)
+                            : sources_[leg].rescue(start_s, size_megabits);
+  }
+  double megabits_over(std::size_t leg, double t0, double t1) const {
+    return sources_.empty() ? link_->megabits_over(t0, t1)
+                            : sources_[leg].megabits_over(t0, t1);
+  }
+  bool in_outage(std::size_t leg, double t_s) const {
+    return sources_.empty() ? link_->in_outage(t_s) : sources_[leg].in_outage(t_s);
+  }
+
+ private:
+  const LinkModel* link_;
+  std::span<const net::SegmentSource> sources_;
+};
+
 }  // namespace
 
 const char* to_string(SessionEventType type) noexcept {
@@ -296,21 +336,12 @@ double LinkModel::megabits_over(double, double) const {
   throw std::logic_error("LinkModel: megabits_over() unsupported on this link");
 }
 
-double LinkModel::capacity_at(double) const {
-  throw std::logic_error("LinkModel: capacity_at() unsupported on this link");
-}
-
 net::AttemptOutcome SoloLinkModel::attempt(std::size_t, std::size_t,
                                            double start_s,
                                            double size_megabits) const {
   net::AttemptOutcome outcome;
   outcome.result = downloader_.download(start_s, size_megabits);
   return outcome;
-}
-
-net::DownloadResult SoloLinkModel::rescue(double start_s,
-                                          double size_megabits) const {
-  return downloader_.download(start_s, size_megabits);
 }
 
 net::AttemptOutcome FaultLinkModel::attempt(std::size_t segment,
@@ -358,23 +389,7 @@ net::AttemptOutcome CdnLinkModel::attempt(std::size_t segment,
                                           double size_megabits) const {
   // Only reached on the fast path (single trivial source): a plain download
   // against the source's (bitwise-original) trace.
-  net::AttemptOutcome outcome;
-  outcome.result =
-      sources_[0].attempt(segment, attempt, start_s, size_megabits).result;
-  return outcome;
-}
-
-net::DownloadResult CdnLinkModel::rescue(double start_s,
-                                         double size_megabits) const {
-  return sources_[0].rescue(start_s, size_megabits);
-}
-
-double CdnLinkModel::megabits_over(double t0, double t1) const {
-  return sources_[0].megabits_over(t0, t1);
-}
-
-bool CdnLinkModel::in_outage(double t_s) const noexcept {
-  return sources_[0].in_outage(t_s);
+  return sources_[0].attempt(segment, attempt, start_s, size_megabits);
 }
 
 std::uint64_t CdnLinkModel::fault_seed() const noexcept {
@@ -393,10 +408,6 @@ SharedLinkModel::SharedLinkModel(const trace::TimeSeries& capacity_mbps)
   }
 }
 
-double SharedLinkModel::capacity_at(double t_s) const {
-  return capacity_->linear_at(t_s);
-}
-
 CellularLinkModel::CellularLinkModel(
     std::span<const trace::TimeSeries* const> cells)
     : cells_(cells.begin(), cells.end()) {
@@ -409,10 +420,6 @@ CellularLinkModel::CellularLinkModel(
           "CellularLinkModel: null or empty cell capacity trace");
     }
   }
-}
-
-double CellularLinkModel::capacity_at(double t_s) const {
-  return cells_.front()->linear_at(t_s);
 }
 
 // --- SessionEngine ----------------------------------------------------------
@@ -440,8 +447,9 @@ std::vector<PlaybackResult> SessionEngine::run(
       throw std::invalid_argument("SessionEngine: null client fields");
     }
   }
-  if (link.stepped()) {
-    const std::size_t num_cells = std::max<std::size_t>(1, link.cells().size());
+  const auto cells = link.cells();
+  if (!cells.empty()) {
+    const std::size_t num_cells = cells.size();
     for (const auto& client : clients) {
       if (client.home_cell >= num_cells) {
         throw std::invalid_argument("SessionEngine: home_cell out of range");
@@ -457,7 +465,12 @@ std::vector<PlaybackResult> SessionEngine::run(
         prev_hop_s = hop.t_s;
       }
     }
-    return run_stepped(clients, link, observer);
+    // Single-cell reference_mode keeps the pre-refactor loop, which the
+    // differential harness certifies the cellular path against bit-for-bit.
+    if (config_.reference_mode && cells.size() == 1) {
+      return run_stepped_reference(clients, *cells[0], observer);
+    }
+    return run_cells(clients, cells, observer);
   }
   if (clients.size() != 1) {
     throw std::invalid_argument(
@@ -470,9 +483,9 @@ std::vector<PlaybackResult> SessionEngine::run(
 
 // Analytic links: segments resolve sequentially in closed form. With a
 // reliable link every attempt completes (the fault-free player semantics);
-// an unreliable link engages the per-segment resilience state machine
-// (deadlines, bounded retries with backoff, degradation, abandonment and the
-// terminal rescue fetch).
+// an unreliable link engages the per-segment retry machine (deadlines,
+// bounded retries with backoff, degradation, abandonment, the terminal
+// rescue fetch and, on CDN links, failover and hedging).
 PlaybackResult SessionEngine::run_analytic(const SessionClient& client,
                                            const LinkModel& link,
                                            SessionObserver* observer) const {
@@ -511,17 +524,17 @@ PlaybackResult SessionEngine::run_analytic(const SessionClient& client,
   OutageTransitionEmitter outages(unreliable ? link.outage_schedule() : nullptr,
                                   observer, 0);
 
-  // Multi-source CDN runs: per-run failover state (breakers + EWMA scores)
-  // lives in the selector; constructed only when the machine is engaged so
-  // every other path stays untouched.
-  const std::span<const net::SegmentSource> cdn_sources = link.sources();
-  const bool cdn = unreliable && !cdn_sources.empty();
+  // The retry machine's delivery legs. CDN runs keep per-run failover
+  // state (breakers + EWMA scores) in the selector, constructed only when
+  // the link has sources so every other path stays untouched.
+  const DeliveryLegs legs(link);
   std::optional<net::SourceSelector> selector;
   std::vector<net::BreakerState> breaker_seen;
   std::size_t active_source = 0;
-  if (cdn) {
-    selector.emplace(cdn_sources, res.source_selector);
-    breaker_seen.assign(cdn_sources.size(), net::BreakerState::kClosed);
+  const auto sources = link.sources();
+  if (unreliable && !sources.empty()) {
+    selector.emplace(sources, res.source_selector);
+    breaker_seen.assign(sources.size(), net::BreakerState::kClosed);
   }
 
   emit_event(observer, SessionEventType::kSessionStart, 0.0, kNoIndex);
@@ -585,7 +598,7 @@ PlaybackResult SessionEngine::run_analytic(const SessionClient& client,
     bool abandoned = false;
     std::size_t attempt = 0;
     std::size_t level = requested;
-    std::size_t serving = 0;        // CDN: source of the winning attempt
+    std::size_t serving = 0;        // leg of the winning attempt
     std::size_t segment_hedges = 0; // CDN: hedged duplicates this segment
     net::DownloadResult success;
 
@@ -595,22 +608,24 @@ PlaybackResult SessionEngine::run_analytic(const SessionClient& client,
                  requested, buffer, size_megabits);
       success = fast != nullptr ? fast->download(now, size_megabits)
                                 : link.attempt(i, 0, now, size_megabits).result;
-    } else if (cdn) {
-      // --- Multi-source CDN failover machine ----------------------------
-      // The single-source machine below generalised to N sources: the
-      // selector picks the healthiest source per attempt (circuit breakers
-      // + EWMA throughput scores), every abort feeds the breakers, and an
+    } else {
+      // --- Per-segment retry machine ------------------------------------
+      // One machine for every unreliable analytic link. Each attempt goes
+      // to a primary leg — the healthiest source by the selector (circuit
+      // breakers + EWMA throughput scores) on CDN links, the link itself
+      // otherwise — and runs to success, failure or the attempt deadline.
+      // Every abort feeds the breakers, and with two or more sources an
       // attempt the primary cannot resolve by the hedge point is duplicated
-      // on the best backup — the first successful finisher wins and the
+      // on the best backup: the first successful finisher wins and the
       // loser's bytes are priced as wasted download energy.
-      net::SourceSelector& sel = *selector;
       constexpr double kNever = std::numeric_limits<double>::infinity();
 
       // Emits kBreakerTransition for every breaker whose state changed
       // since last reported.
       const auto note_breakers = [&](double t) {
-        for (std::size_t s = 0; s < cdn_sources.size(); ++s) {
-          const net::BreakerState st = sel.breaker(s).state();
+        if (!selector) return;
+        for (std::size_t s = 0; s < breaker_seen.size(); ++s) {
+          const net::BreakerState st = selector->breaker(s).state();
           if (st != breaker_seen[s]) {
             breaker_seen[s] = st;
             ++result.breaker_transitions;
@@ -618,6 +633,9 @@ PlaybackResult SessionEngine::run_analytic(const SessionClient& client,
                        attempt, level, buffer, static_cast<double>(st), s);
           }
         }
+      };
+      const auto record = [&](std::size_t leg, bool ok, double mbps, double t) {
+        if (selector) selector->record(leg, ok, mbps, t);
       };
       // Advances the wall clock over an aborted round (every leg dead).
       const auto advance_abort = [&](double abort_at, double moved) {
@@ -635,21 +653,19 @@ PlaybackResult SessionEngine::run_analytic(const SessionClient& client,
         wasted_time += until - from;
       };
       // Megabits a leg moved from its start up to `until`.
-      const auto moved_by = [&](const net::SourceAttemptOutcome& leg,
-                                const net::SegmentSource& src, double from,
-                                double until, double size) {
+      const auto moved_by = [&](const net::AttemptOutcome& out, std::size_t leg,
+                                double from, double until, double size) {
         if (until <= from) return 0.0;
-        if (leg.failed && leg.fail_at_s <= until) return size * leg.fail_fraction;
-        if (leg.kind == net::CdnAttemptClass::kSlow) {
-          return std::min(size, leg.result.mean_throughput_mbps * (until - from));
+        if (out.failed && out.fail_at_s <= until) return size * out.fail_fraction;
+        if (out.crawling && !out.failed) {
+          return std::min(size, out.result.mean_throughput_mbps * (until - from));
         }
-        return std::min(size, src.megabits_over(from, until));
+        return std::min(size, legs.megabits_over(leg, from, until));
       };
 
       for (;;) {
-        // Rung for this attempt (same ladder walk as the single-source
-        // machine): the policy's choice first, then one rung down per retry,
-        // then the lowest rung while delivery keeps failing.
+        // Rung for this attempt: the policy's choice first, then one rung
+        // down per retry, then the lowest rung while delivery keeps failing.
         if (attempt == 0) {
           level = requested;
         } else if (attempt >= res.degrade_after) {
@@ -658,21 +674,14 @@ PlaybackResult SessionEngine::run_analytic(const SessionClient& client,
           level = requested > attempt ? std::max(lowest, requested - attempt) : lowest;
         }
         const double size_megabits = manifest.segment_size_megabits(i, level);
+        const bool rescue = attempt >= res.max_retries;
 
-        if (attempt >= res.max_retries) {
-          // Rescue fetch from the healthiest source: held open until it
-          // completes; guarantees bounded retries and session termination.
-          serving = sel.pick_primary(now);
+        std::size_t primary = 0;
+        if (selector) {
+          primary = selector->pick_primary(now);
           note_breakers(now);
-          emit_event(observer, SessionEventType::kRequestIssued, now, 0, i,
-                     attempt, level, buffer, size_megabits, serving);
-          success = cdn_sources[serving].rescue(now, size_megabits);
-          break;
         }
-
-        const std::size_t primary = sel.pick_primary(now);
-        note_breakers(now);
-        if (primary != active_source) {
+        if (!rescue && primary != active_source) {
           ++result.total_failovers;
           emit_event(observer, SessionEventType::kSourceFailover, now, 0, i,
                      attempt, level, buffer,
@@ -680,10 +689,18 @@ PlaybackResult SessionEngine::run_analytic(const SessionClient& client,
           active_source = primary;
         }
         emit_event(observer, SessionEventType::kRequestIssued, now, 0, i,
-                   attempt, level, buffer, size_megabits, primary);
+                   attempt, level, buffer, size_megabits, legs.event_source(primary));
 
-        const auto p =
-            cdn_sources[primary].attempt(i, attempt, now, size_megabits);
+        if (rescue) {
+          // Rescue fetch: request held open on the primary until it
+          // completes (no per-request faults; outages still slow it via the
+          // effective trace). Guarantees bounded retries and termination.
+          serving = primary;
+          success = legs.rescue(primary, now, size_megabits);
+          break;
+        }
+
+        const auto p = legs.attempt(primary, i, attempt, now, size_megabits);
         const double deadline = now + res.attempt_deadline_s;
         const double hedge_at = now + res.hedge_fraction * res.attempt_deadline_s;
         const double p_success_at = p.failed ? kNever : p.result.end_s;
@@ -692,15 +709,14 @@ PlaybackResult SessionEngine::run_analytic(const SessionClient& client,
         // hedge point and a healthy backup exists.
         bool hedged = false;
         std::size_t backup = 0;
-        net::SourceAttemptOutcome h;
-        if (res.hedge_enabled && cdn_sources.size() > 1 &&
-            hedge_at < deadline && p_success_at > hedge_at &&
-            !(p.failed && p.fail_at_s <= hedge_at)) {
-          const auto pick = sel.pick_backup(hedge_at, primary);
+        net::AttemptOutcome h;
+        if (res.hedge_enabled && legs.size() > 1 && hedge_at < deadline &&
+            p_success_at > hedge_at && !(p.failed && p.fail_at_s <= hedge_at)) {
+          const auto pick = selector->pick_backup(hedge_at, primary);
           note_breakers(hedge_at);
           if (pick.has_value()) {
             backup = *pick;
-            h = cdn_sources[backup].attempt(i, attempt, hedge_at, size_megabits);
+            h = legs.attempt(backup, i, attempt, hedge_at, size_megabits);
             hedged = true;
             ++segment_hedges;
             ++result.total_hedges;
@@ -717,18 +733,20 @@ PlaybackResult SessionEngine::run_analytic(const SessionClient& client,
         const bool h_wins = !p_wins && h_success_at <= deadline;
 
         if (p_wins || h_wins) {
-          // Abandonment is considered only for an unhedged primary win —
-          // identical semantics to the single-source machine.
+          // An unhedged transfer that outpaces the buffer drain: probe
+          // briefly, abandon, and immediately re-request one rung lower (no
+          // backoff).
           if (p_wins && !hedged && res.abandon_enabled && !abandoned &&
               playing && level > lowest && buffer < res.abandon_min_buffer_s &&
               p.result.duration_s() > res.abandon_factor * buffer &&
               now + res.abandon_probe_s < p.result.end_s) {
             const double probe_end = now + res.abandon_probe_s;
             const double moved = std::min(
-                size_megabits, cdn_sources[primary].megabits_over(now, probe_end));
+                size_megabits, legs.megabits_over(primary, now, probe_end));
             outages.advance_to(probe_end);
             emit_event(observer, SessionEventType::kAttemptAbandoned, probe_end,
-                       0, i, attempt, level, buffer, moved, primary);
+                       0, i, attempt, level, buffer, moved,
+                       legs.event_source(primary));
             add_waste(moved, now, probe_end);
             advance_abort(probe_end, moved);
             abandoned = true;
@@ -746,29 +764,28 @@ PlaybackResult SessionEngine::run_analytic(const SessionClient& client,
             // leg that was merely slower than the winner is not a server
             // fault.
             if (p_wins) {
-              const double moved = moved_by(h, cdn_sources[backup], hedge_at,
-                                            win_end, size_megabits);
+              const double moved =
+                  moved_by(h, backup, hedge_at, win_end, size_megabits);
               add_waste(moved, hedge_at, win_end);
               if (h.failed && h.fail_at_s <= win_end) {
-                sel.record(backup, false, 0.0, h.fail_at_s);
+                record(backup, false, 0.0, h.fail_at_s);
               } else if (h_success_at > deadline) {
-                sel.record(backup, false, 0.0, win_end);
+                record(backup, false, 0.0, win_end);
               }
             } else {
-              const double moved = moved_by(p, cdn_sources[primary], now,
-                                            win_end, size_megabits);
+              const double moved = moved_by(p, primary, now, win_end, size_megabits);
               add_waste(moved, now, win_end);
               if (p.failed && p.fail_at_s <= win_end) {
-                sel.record(primary, false, 0.0, p.fail_at_s);
+                record(primary, false, 0.0, p.fail_at_s);
               } else if (p_success_at > deadline) {
-                sel.record(primary, false, 0.0, win_end);
+                record(primary, false, 0.0, win_end);
               }
             }
             emit_event(observer, SessionEventType::kHedgeComplete, win_end, 0,
                        i, attempt, level, buffer, p_wins ? 0.0 : 1.0, win_src);
           }
           const net::DownloadResult& win = p_wins ? p.result : h.result;
-          sel.record(win_src, true, win.mean_throughput_mbps, win_end);
+          record(win_src, true, win.mean_throughput_mbps, win_end);
           note_breakers(win_end);
           success = win;
           serving = win_src;
@@ -777,7 +794,8 @@ PlaybackResult SessionEngine::run_analytic(const SessionClient& client,
 
         // No leg delivered by the deadline. Every leg terminally dead before
         // it: abort at the later death (a failure); otherwise the deadline
-        // fires (a timeout).
+        // fires (a timeout: an outage, a crawling transfer, or a failure
+        // that would manifest past the deadline).
         bool fail_abort = false;
         double abort_at = deadline;
         if (!hedged) {
@@ -791,125 +809,27 @@ PlaybackResult SessionEngine::run_analytic(const SessionClient& client,
           abort_at = std::max(p.fail_at_s, h.fail_at_s);
         }
 
-        const auto leg_abort = [&](const net::SourceAttemptOutcome& leg,
-                                   const net::SegmentSource& src,
-                                   std::size_t src_index, double from) {
+        const auto leg_abort = [&](const net::AttemptOutcome& out,
+                                   std::size_t leg, double from) {
           const double until =
-              leg.failed ? std::min(abort_at, leg.fail_at_s) : abort_at;
-          const double moved = moved_by(leg, src, from, until, size_megabits);
+              out.failed ? std::min(abort_at, out.fail_at_s) : abort_at;
+          const double moved = moved_by(out, leg, from, until, size_megabits);
           add_waste(moved, from, until);
-          sel.record(src_index, false, 0.0, until);
+          record(leg, false, 0.0, until);
           return moved;
         };
-        double moved_total = leg_abort(p, cdn_sources[primary], primary, now);
-        if (hedged) {
-          moved_total += leg_abort(h, cdn_sources[backup], backup, hedge_at);
-        }
+        double moved_total = leg_abort(p, primary, now);
+        if (hedged) moved_total += leg_abort(h, backup, hedge_at);
         outages.advance_to(abort_at);
         emit_event(observer,
                    fail_abort ? SessionEventType::kAttemptFailure
                               : SessionEventType::kAttemptDeadline,
-                   abort_at, 0, i, attempt, level, buffer, moved_total, primary);
+                   abort_at, 0, i, attempt, level, buffer, moved_total,
+                   legs.event_source(primary));
         policy.on_download_failure(
-            {i, attempt, abort_at, cdn_sources[primary].in_outage(abort_at)});
+            {i, attempt, abort_at, legs.in_outage(primary, abort_at)});
         note_breakers(abort_at);
         advance_abort(abort_at, moved_total);
-
-        const double wait = retry_backoff_s(res, link.fault_seed(), i, attempt);
-        outages.advance_to(now + wait);
-        drain(wait);
-        now += wait;
-        backoff_total += wait;
-        emit_event(observer, SessionEventType::kBackoffExpiry, now, 0, i,
-                   attempt, level, buffer, wait);
-        ++attempt;
-      }
-      // ------------------------------------------------------------------
-    } else {
-      // --- Per-segment resilience state machine -------------------------
-      // Abort the in-flight attempt at `abort_at`, having moved `moved`
-      // megabits: account the waste, feed the estimator the (near-zero)
-      // observed throughput, and advance the clock.
-      const auto account_abort = [&](double abort_at, double moved) {
-        const double elapsed = abort_at - now;
-        wasted_megabits += moved;
-        if (moved > 0.0) {
-          wasted_signal_weight += moved * session.signal_dbm.mean_over(now, abort_at);
-        }
-        wasted_time += elapsed;
-        runtime.bandwidth.observe(elapsed > 0.0 ? moved / elapsed : 0.0);
-        drain(elapsed);
-        now = abort_at;
-      };
-
-      for (;;) {
-        // Rung for this attempt: the policy's choice first, then one rung
-        // down per retry, then the lowest rung while the link keeps failing.
-        if (attempt == 0) {
-          level = requested;
-        } else if (attempt >= res.degrade_after) {
-          level = lowest;
-        } else {
-          level = requested > attempt ? std::max(lowest, requested - attempt) : lowest;
-        }
-        const double size_megabits = manifest.segment_size_megabits(i, level);
-        emit_event(observer, SessionEventType::kRequestIssued, now, 0, i,
-                   attempt, level, buffer, size_megabits);
-
-        if (attempt >= res.max_retries) {
-          // Rescue fetch: lowest-rung request held open until it completes
-          // (no per-request faults; outages still slow it via the effective
-          // trace). Guarantees bounded retries and session termination.
-          success = link.rescue(now, size_megabits);
-          break;
-        }
-
-        const auto outcome = link.attempt(i, attempt, now, size_megabits);
-        const double deadline = now + res.attempt_deadline_s;
-        const double resolves_at =
-            outcome.failed ? outcome.fail_at_s : outcome.result.end_s;
-
-        if (resolves_at > deadline) {
-          // Timeout: an outage, a stuck transfer, or a failure that would
-          // manifest past the deadline. Abort at the deadline.
-          const double moved =
-              outcome.stalled
-                  ? std::min(size_megabits,
-                             outcome.result.mean_throughput_mbps * res.attempt_deadline_s)
-                  : std::min(size_megabits, link.megabits_over(now, deadline));
-          outages.advance_to(deadline);
-          emit_event(observer, SessionEventType::kAttemptDeadline, deadline, 0,
-                     i, attempt, level, buffer, moved);
-          policy.on_download_failure({i, attempt, deadline, link.in_outage(deadline)});
-          account_abort(deadline, moved);
-        } else if (outcome.failed) {
-          outages.advance_to(outcome.fail_at_s);
-          emit_event(observer, SessionEventType::kAttemptFailure,
-                     outcome.fail_at_s, 0, i, attempt, level, buffer,
-                     size_megabits * outcome.fail_fraction);
-          policy.on_download_failure(
-              {i, attempt, outcome.fail_at_s, link.in_outage(outcome.fail_at_s)});
-          account_abort(outcome.fail_at_s, size_megabits * outcome.fail_fraction);
-        } else if (res.abandon_enabled && !abandoned && playing && level > lowest &&
-                   buffer < res.abandon_min_buffer_s &&
-                   outcome.result.duration_s() > res.abandon_factor * buffer &&
-                   now + res.abandon_probe_s < outcome.result.end_s) {
-          // The transfer outpaces the buffer drain: probe briefly, abandon,
-          // and immediately re-request one rung lower (no backoff).
-          const double probe_end = now + res.abandon_probe_s;
-          const double moved =
-              std::min(size_megabits, link.megabits_over(now, probe_end));
-          outages.advance_to(probe_end);
-          emit_event(observer, SessionEventType::kAttemptAbandoned, probe_end,
-                     0, i, attempt, level, buffer, moved);
-          account_abort(probe_end, moved);
-          abandoned = true;
-          ++attempt;
-          continue;
-        } else {
-          success = outcome.result;
-          break;
-        }
 
         const double wait = retry_backoff_s(res, link.fault_seed(), i, attempt);
         outages.advance_to(now + wait);
@@ -1121,27 +1041,12 @@ void stepped_complete_download(SteppedClientState& state, std::size_t index,
 
 // Stepped links: completion times depend on who else is downloading, so the
 // engine integrates on a fixed grid (sub-step completions resolved exactly)
-// and splits capacity equally among the in-flight clients. Links that expose
-// per-cell capacity traces run the cellular event-heap path; single-cell
-// reference_mode (and custom stepped links without cells()) keep the
-// pre-refactor loop, which the differential harness certifies the cellular
-// path against bit-for-bit.
-std::vector<PlaybackResult> SessionEngine::run_stepped(
-    std::span<const SessionClient> clients, const LinkModel& link,
-    SessionObserver* observer) const {
-  const auto cell_traces = link.cells();
-  if (cell_traces.empty() ||
-      (config_.reference_mode && cell_traces.size() == 1)) {
-    return run_stepped_reference(clients, link, observer);
-  }
-  return run_cells(clients, cell_traces, link, observer);
-}
-
+// and splits capacity equally among the in-flight clients.
+//
 // The pre-refactor single-bottleneck loop, preserved as the certification
-// reference for the cellular path (and the fallback for custom stepped links
-// that expose no cells()).
+// reference for the cellular path (run for one-cell links in reference_mode).
 std::vector<PlaybackResult> SessionEngine::run_stepped_reference(
-    std::span<const SessionClient> clients, const LinkModel& link,
+    std::span<const SessionClient> clients, const trace::TimeSeries& capacity_trace,
     SessionObserver* observer) const {
   const PlayerConfig& player_config = config_.player;
   std::vector<SteppedClientState> states;
@@ -1150,14 +1055,6 @@ std::vector<PlaybackResult> SessionEngine::run_stepped_reference(
     states.emplace_back(client, player_config, config_.reference_mode);
     client.policy->reset();
   }
-
-  // Capacity lookups happen once per step; when the link exposes its trace,
-  // a cursor walks it instead of binary-searching every step. The query time
-  // is strictly monotone here, so the walk is O(1) amortised.
-  const trace::TimeSeries* capacity_series =
-      config_.reference_mode ? nullptr : link.capacity_series();
-  std::optional<trace::TimeSeriesCursor> capacity_cursor;
-  if (capacity_series != nullptr) capacity_cursor.emplace(*capacity_series);
 
   emit_event(observer, SessionEventType::kSessionStart, 0.0, kNoIndex);
 
@@ -1185,9 +1082,7 @@ std::vector<PlaybackResult> SessionEngine::run_stepped_reference(
     for (const auto& state : states) {
       if (state.downloading) ++active;
     }
-    const double capacity =
-        std::max(0.0, capacity_cursor.has_value() ? capacity_cursor->linear_at(now)
-                                                  : link.capacity_at(now));
+    const double capacity = std::max(0.0, capacity_trace.linear_at(now));
     const double share = active > 0 ? capacity / static_cast<double>(active) : 0.0;
 
     // 3. Advance downloads (sub-step completion resolved exactly) and
@@ -1276,9 +1171,8 @@ struct PendingHop {
 // step on. A handoff into a dormant cell wakes it at the current step.
 std::vector<PlaybackResult> SessionEngine::run_cells(
     std::span<const SessionClient> clients,
-    std::span<const trace::TimeSeries* const> cell_traces, const LinkModel& link,
+    std::span<const trace::TimeSeries* const> cell_traces,
     SessionObserver* observer) const {
-  (void)link;
   const PlayerConfig& player_config = config_.player;
   const double dt = config_.step_s;
 

@@ -43,7 +43,7 @@ TEST(FaultInjectorTest, DefaultSpecIsStrictPassThrough) {
 
       const auto outcome = injector.attempt(3, 0, start, size);
       EXPECT_FALSE(outcome.failed);
-      EXPECT_FALSE(outcome.stalled);
+      EXPECT_FALSE(outcome.crawling);
       EXPECT_EQ(outcome.result.end_s, a.end_s);
     }
   }
@@ -194,7 +194,7 @@ TEST(FaultInjectorTest, AttemptsAreDeterministicAndIndependent) {
       const auto x = a.attempt(seg, att, 5.0, 16.0);
       const auto y = b.attempt(seg, att, 5.0, 16.0);
       EXPECT_EQ(x.failed, y.failed);
-      EXPECT_EQ(x.stalled, y.stalled);
+      EXPECT_EQ(x.crawling, y.crawling);
       EXPECT_EQ(x.fail_at_s, y.fail_at_s);
       EXPECT_EQ(x.fail_fraction, y.fail_fraction);
       EXPECT_EQ(x.result.end_s, y.result.end_s);
@@ -229,7 +229,7 @@ TEST(FaultInjectorTest, SlowLorisCrawlsAtTokenRate) {
   const FaultInjector injector(trace, spec);
 
   const auto outcome = injector.attempt(0, 0, 5.0, 2.0);
-  EXPECT_TRUE(outcome.stalled);
+  EXPECT_TRUE(outcome.crawling);
   EXPECT_FALSE(outcome.failed);
   // 2 megabits at 0.1 Mbps = 20 s, regardless of the healthy 8 Mbps link.
   EXPECT_NEAR(outcome.result.end_s, 25.0, 1e-9);

@@ -65,8 +65,6 @@ TEST(SessionEngineTest, AnalyticLinksTakeExactlyOneClient) {
 
 TEST(SessionEngineTest, WrongModeLinkCallsThrow) {
   const auto session = make_session(20.0, 10.0);
-  const SoloLinkModel solo(session.throughput_mbps);
-  EXPECT_THROW(solo.capacity_at(0.0), std::logic_error);
   const SharedLinkModel shared(session.throughput_mbps);
   EXPECT_THROW(shared.attempt(0, 0, 0.0, 1.0), std::logic_error);
   EXPECT_THROW(shared.rescue(0.0, 1.0), std::logic_error);
