@@ -9,7 +9,7 @@
 // every segment request with the estimator state a real client would have.
 //
 // A second run() overload replays the session through a net::FaultInjector.
-// On that path the player runs a resilience state machine per segment:
+// On that path the player runs a retry machine per segment:
 // per-attempt deadlines, bounded retries with exponential backoff and
 // deterministic jitter, mid-download abandonment when a transfer outpaces
 // the buffer drain, and degradation to the lowest rung while the link is
@@ -19,8 +19,7 @@
 // A further overload replays the session against N CDN sources (one per
 // manifest BaseURL): per-source server faults, deterministic circuit
 // breakers, health-scored failover and hedged requests — the multi-source
-// delivery machinery of segment_source.h driven by the engine's CDN state
-// machine.
+// delivery machinery of segment_source.h driven by the same retry machine.
 //
 // All overloads are thin configurations of the unified player::SessionEngine
 // (session_engine.h): the fault-free path runs a SoloLinkModel, the
@@ -46,6 +45,7 @@
 
 namespace eacs::player {
 
+class LinkModel;        // session_engine.h
 class SessionObserver;  // session_engine.h
 
 /// Retry / abandonment behaviour for fault-injected runs. Only consulted by
@@ -230,6 +230,13 @@ class PlayerSimulator {
                      SessionObserver* observer = nullptr) const;
 
  private:
+  /// Runs one client over `link` on a SessionEngine with this simulator's
+  /// PlayerConfig and the engine's default step/stop values.
+  PlaybackResult run_on(const LinkModel& link, AbrPolicy& policy,
+                        const trace::SessionTraces& session,
+                        const sensors::SensorFaultInjector* sensor_faults,
+                        SessionObserver* observer) const;
+
   media::VideoManifest manifest_;
   PlayerConfig config_;
 };

@@ -37,15 +37,25 @@ PlayerSimulator::PlayerSimulator(media::VideoManifest manifest, PlayerConfig con
   }
 }
 
-PlaybackResult PlayerSimulator::run(AbrPolicy& policy,
-                                    const trace::SessionTraces& session,
-                                    SessionObserver* observer) const {
-  const SoloLinkModel link(session.throughput_mbps);
-  const SessionClient client{&manifest_, &policy, &session, 0.0};
-  const SessionEngine engine(SessionEngineConfig{config_, 0.05, 7200.0});
+PlaybackResult PlayerSimulator::run_on(
+    const LinkModel& link, AbrPolicy& policy, const trace::SessionTraces& session,
+    const sensors::SensorFaultInjector* sensor_faults,
+    SessionObserver* observer) const {
+  SessionClient client{&manifest_, &policy, &session, 0.0};
+  client.sensor_faults = sensor_faults;
+  SessionEngineConfig engine_config;
+  engine_config.player = config_;
+  const SessionEngine engine(engine_config);
   auto results = engine.run(std::span<const SessionClient>(&client, 1), link,
                             observer);
   return std::move(results.front());
+}
+
+PlaybackResult PlayerSimulator::run(AbrPolicy& policy,
+                                    const trace::SessionTraces& session,
+                                    SessionObserver* observer) const {
+  return run_on(SoloLinkModel(session.throughput_mbps), policy, session,
+                nullptr, observer);
 }
 
 double retry_backoff_s(const ResilienceConfig& config, std::uint64_t fault_seed,
@@ -69,26 +79,15 @@ PlaybackResult PlayerSimulator::run(AbrPolicy& policy,
   // A disabled spec is a strict no-op pass-through: delegate to the plain
   // solo link so results stay bit-identical to the fault-free overload.
   if (!faults.active()) return run(policy, session, observer);
-
-  const FaultLinkModel link(faults);
-  const SessionClient client{&manifest_, &policy, &session, 0.0};
-  const SessionEngine engine(SessionEngineConfig{config_, 0.05, 7200.0});
-  auto results = engine.run(std::span<const SessionClient>(&client, 1), link,
-                            observer);
-  return std::move(results.front());
+  return run_on(FaultLinkModel(faults), policy, session, nullptr, observer);
 }
 
 PlaybackResult PlayerSimulator::run(AbrPolicy& policy,
                                     const trace::SessionTraces& session,
                                     const sensors::SensorFaultInjector& sensor_faults,
                                     SessionObserver* observer) const {
-  const SoloLinkModel link(session.throughput_mbps);
-  SessionClient client{&manifest_, &policy, &session, 0.0};
-  client.sensor_faults = &sensor_faults;
-  const SessionEngine engine(SessionEngineConfig{config_, 0.05, 7200.0});
-  auto results = engine.run(std::span<const SessionClient>(&client, 1), link,
-                            observer);
-  return std::move(results.front());
+  return run_on(SoloLinkModel(session.throughput_mbps), policy, session,
+                &sensor_faults, observer);
 }
 
 PlaybackResult PlayerSimulator::run(AbrPolicy& policy,
@@ -99,12 +98,7 @@ PlaybackResult PlayerSimulator::run(AbrPolicy& policy,
   // A single trivial source is a strict no-op pass-through: delegate to the
   // plain solo link so results stay bit-identical to the fault-free overload.
   if (!link.unreliable()) return run(policy, session, observer);
-
-  const SessionClient client{&manifest_, &policy, &session, 0.0};
-  const SessionEngine engine(SessionEngineConfig{config_, 0.05, 7200.0});
-  auto results = engine.run(std::span<const SessionClient>(&client, 1), link,
-                            observer);
-  return std::move(results.front());
+  return run_on(link, policy, session, nullptr, observer);
 }
 
 PlaybackResult PlayerSimulator::run(AbrPolicy& policy,
@@ -113,14 +107,8 @@ PlaybackResult PlayerSimulator::run(AbrPolicy& policy,
                                     const sensors::SensorFaultInjector& sensor_faults,
                                     SessionObserver* observer) const {
   if (!faults.active()) return run(policy, session, sensor_faults, observer);
-
-  const FaultLinkModel link(faults);
-  SessionClient client{&manifest_, &policy, &session, 0.0};
-  client.sensor_faults = &sensor_faults;
-  const SessionEngine engine(SessionEngineConfig{config_, 0.05, 7200.0});
-  auto results = engine.run(std::span<const SessionClient>(&client, 1), link,
-                            observer);
-  return std::move(results.front());
+  return run_on(FaultLinkModel(faults), policy, session, &sensor_faults,
+                observer);
 }
 
 }  // namespace eacs::player

@@ -43,6 +43,10 @@ struct EvaluationConfig {
   ExecutionPolicy exec;
 };
 
+/// The Eq. 11 objective an evaluation plans with: the config's QoE and power
+/// models, alpha, buffer threshold and context awareness.
+core::Objective make_objective(const EvaluationConfig& config);
+
 /// One complete evaluation outcome.
 struct EvaluationResult {
   std::vector<SessionMetrics> rows;  ///< one row per (algorithm, session)

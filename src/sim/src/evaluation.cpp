@@ -118,6 +118,15 @@ media::VideoManifest Evaluation::manifest_for(const media::SessionSpec& spec) co
                               media::VbrModel{config_.vbr_amplitude});
 }
 
+core::Objective make_objective(const EvaluationConfig& config) {
+  core::ObjectiveConfig objective_config;
+  objective_config.alpha = config.alpha;
+  objective_config.buffer_threshold_s = config.player.buffer_threshold_s;
+  objective_config.context_aware = config.context_aware;
+  return core::Objective(qoe::QoeModel(config.qoe),
+                         power::PowerModel(config.power), objective_config);
+}
+
 EvaluationResult Evaluation::run() const {
   return run(trace::build_all_sessions(config_.session_options));
 }
@@ -125,14 +134,9 @@ EvaluationResult Evaluation::run() const {
 EvaluationResult Evaluation::run(
     const std::vector<trace::SessionTraces>& sessions) const {
   EvaluationResult result;
-  const qoe::QoeModel qoe_model(config_.qoe);
-  const power::PowerModel power_model(config_.power);
-
-  core::ObjectiveConfig objective_config;
-  objective_config.alpha = config_.alpha;
-  objective_config.buffer_threshold_s = config_.player.buffer_threshold_s;
-  objective_config.context_aware = config_.context_aware;
-  const core::Objective objective(qoe_model, power_model, objective_config);
+  const core::Objective objective = make_objective(config_);
+  const qoe::QoeModel& qoe_model = objective.qoe_model();
+  const power::PowerModel& power_model = objective.power_model();
 
   // One unit of work per session: everything a unit touches (manifest,
   // simulator, policies, optimal plan) is built inside it from the session

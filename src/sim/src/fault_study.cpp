@@ -34,14 +34,9 @@ FaultStudyResult run_fault_study(const FaultStudyConfig& config) {
   }
 
   const Evaluation evaluation(config.evaluation);
-  const qoe::QoeModel qoe_model(config.evaluation.qoe);
-  const power::PowerModel power_model(config.evaluation.power);
-
-  core::ObjectiveConfig objective_config;
-  objective_config.alpha = config.evaluation.alpha;
-  objective_config.buffer_threshold_s = config.evaluation.player.buffer_threshold_s;
-  objective_config.context_aware = config.evaluation.context_aware;
-  const core::Objective objective(qoe_model, power_model, objective_config);
+  const core::Objective objective = make_objective(config.evaluation);
+  const qoe::QoeModel& qoe_model = objective.qoe_model();
+  const power::PowerModel& power_model = objective.power_model();
 
   // Sessions, manifests, simulators and optimal plans are built once and
   // shared across the whole grid.

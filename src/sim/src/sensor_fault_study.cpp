@@ -120,14 +120,9 @@ SensorFaultStudyResult run_sensor_fault_study(
                                                   : config.scenarios;
 
   const Evaluation evaluation(config.evaluation);
-  const qoe::QoeModel qoe_model(config.evaluation.qoe);
-  const power::PowerModel power_model(config.evaluation.power);
-
-  core::ObjectiveConfig objective_config;
-  objective_config.alpha = config.evaluation.alpha;
-  objective_config.buffer_threshold_s = config.evaluation.player.buffer_threshold_s;
-  objective_config.context_aware = config.evaluation.context_aware;
-  const core::Objective objective(qoe_model, power_model, objective_config);
+  const core::Objective objective = make_objective(config.evaluation);
+  const qoe::QoeModel& qoe_model = objective.qoe_model();
+  const power::PowerModel& power_model = objective.power_model();
 
   const auto sessions = trace::build_all_sessions(config.evaluation.session_options);
   std::vector<media::VideoManifest> manifests;
