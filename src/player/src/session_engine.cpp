@@ -652,12 +652,13 @@ PlaybackResult SessionEngine::run_analytic(const SessionClient& client,
         }
         wasted_time += until - from;
       };
-      // Megabits a leg moved from its start up to `until`.
+      // Megabits a leg moved from its start up to `until`. A crawling leg
+      // moves at its crawl rate until it dies, even one that will die.
       const auto moved_by = [&](const net::AttemptOutcome& out, std::size_t leg,
                                 double from, double until, double size) {
         if (until <= from) return 0.0;
         if (out.failed && out.fail_at_s <= until) return size * out.fail_fraction;
-        if (out.crawling && !out.failed) {
+        if (out.crawling) {
           return std::min(size, out.result.mean_throughput_mbps * (until - from));
         }
         return std::min(size, legs.megabits_over(leg, from, until));

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "eacs/abr/bba.h"
+#include "eacs/abr/fixed.h"
 #include "eacs/net/segment_source.h"
 #include "eacs/player/player.h"
 #include "eacs/player/session_engine.h"
@@ -209,6 +210,36 @@ TEST(CdnFailoverTest, RepeatedRunsAreBitIdentical) {
   const auto b = simulator.run(policy_b, session,
                                std::span<const net::SegmentSource>(sources));
   expect_results_bit_identical(a, b);
+}
+
+TEST(CdnFailoverTest, SlowTruncatedLegIsChargedItsCrawlRate) {
+  // Every attempt crawls at 1% of the 8 Mbps link and is truncated part-way
+  // through its (very long) crawl. An attempt cut at the deadline before it
+  // dies moved bytes at the crawl rate, not at link capacity.
+  const auto session = make_session(40.0, 8.0);
+  PlayerConfig config;
+  config.resilience.max_retries = 1;  // one faulty attempt, then the rescue
+  const PlayerSimulator simulator(make_manifest(40.0, 2.0), config);
+  net::CdnSourceConfig origin;
+  origin.faults.slow_start_prob = 1.0;
+  origin.faults.truncate_prob = 1.0;
+  origin.faults.slow_scale = 0.01;
+  const std::vector<net::SegmentSource> sources = {
+      net::SegmentSource(session.throughput_mbps, origin)};
+
+  abr::FixedBitrate policy(10, "High");
+  SessionTimeline timeline;
+  const auto result = simulator.run(
+      policy, session, std::span<const net::SegmentSource>(sources), &timeline);
+
+  ASSERT_GT(timeline.count(SessionEventType::kAttemptDeadline), 0U);
+  const double crawl_mbps = 8.0 * origin.faults.slow_scale;
+  const double cap_mb =
+      crawl_mbps * config.resilience.attempt_deadline_s / 8.0 * (1.0 + 1e-12);
+  for (const auto& task : result.tasks) {
+    EXPECT_LE(task.retries, 1U);
+    EXPECT_LE(task.wasted_mb, cap_mb) << "segment " << task.segment_index;
+  }
 }
 
 TEST(CdnFailoverTest, EmptySourceSpanThrows) {
