@@ -5,8 +5,8 @@
 // carry (fault-free PlayerSimulator::run, the fault-injected resilience
 // overload, and MultiClientSimulator's stepped shared-link loop). The engine
 // owns the single implementation of buffer drain / stall accounting, startup
-// transitions, the buffer-threshold throttle and the per-segment resilience
-// state machine; what varies between scenarios is factored into a LinkModel:
+// transitions, the buffer-threshold throttle and the per-segment retry
+// machine; what varies between scenarios is factored into a LinkModel:
 //
 //  * SoloLinkModel    — trace-driven dedicated link; every attempt completes
 //                       (the fault-free player semantics);
@@ -176,7 +176,9 @@ class VibrationClock {
 ///    downloading, so the engine integrates each cell's capacity trace on
 ///    SessionEngineConfig::step_s steps.
 ///
-/// Analytic methods called on a stepped link throw std::logic_error.
+/// A method the link does not serve throws std::logic_error (rescue() on
+/// SoloLinkModel, which is never unreliable; any analytic method on a
+/// stepped link).
 class LinkModel {
  public:
   virtual ~LinkModel() = default;

@@ -41,11 +41,8 @@ PlaybackResult PlayerSimulator::run_on(
     const LinkModel& link, AbrPolicy& policy, const trace::SessionTraces& session,
     const sensors::SensorFaultInjector* sensor_faults,
     SessionObserver* observer) const {
-  SessionClient client{&manifest_, &policy, &session, 0.0};
-  client.sensor_faults = sensor_faults;
-  SessionEngineConfig engine_config;
-  engine_config.player = config_;
-  const SessionEngine engine(engine_config);
+  const SessionClient client{&manifest_, &policy, &session, 0.0, sensor_faults};
+  const SessionEngine engine(SessionEngineConfig{.player = config_});
   auto results = engine.run(std::span<const SessionClient>(&client, 1), link,
                             observer);
   return std::move(results.front());

@@ -449,14 +449,13 @@ std::vector<PlaybackResult> SessionEngine::run(
   }
   const auto cells = link.cells();
   if (!cells.empty()) {
-    const std::size_t num_cells = cells.size();
     for (const auto& client : clients) {
-      if (client.home_cell >= num_cells) {
+      if (client.home_cell >= cells.size()) {
         throw std::invalid_argument("SessionEngine: home_cell out of range");
       }
       double prev_hop_s = -std::numeric_limits<double>::infinity();
       for (const auto& hop : client.route) {
-        if (hop.cell >= num_cells) {
+        if (hop.cell >= cells.size()) {
           throw std::invalid_argument("SessionEngine: route cell out of range");
         }
         if (hop.t_s < prev_hop_s) {
@@ -652,8 +651,9 @@ PlaybackResult SessionEngine::run_analytic(const SessionClient& client,
         }
         wasted_time += until - from;
       };
-      // Megabits a leg moved from its start up to `until`. A crawling leg
-      // moves at its crawl rate until it dies, even one that will die.
+      // Megabits a leg moved from its start up to `until`. Until it dies, a
+      // crawling leg moves bytes at its crawl rate, any other leg at the
+      // capacity its source offers.
       const auto moved_by = [&](const net::AttemptOutcome& out, std::size_t leg,
                                 double from, double until, double size) {
         if (until <= from) return 0.0;

@@ -6,7 +6,6 @@
 #include "eacs/core/objective.h"
 #include "eacs/core/online.h"
 #include "eacs/player/player.h"
-#include "eacs/player/session_engine.h"
 #include "../test_helpers.h"
 
 namespace eacs::player {
@@ -128,44 +127,6 @@ TEST(ResilienceTest, StalledTransfersAbortAtTheDeadline) {
   }
   EXPECT_EQ(policy.failures.size(),
             manifest.num_segments() * res.max_retries);
-}
-
-TEST(ResilienceTest, LinkFaultRunsCarryNoSourceState) {
-  // A FaultLinkModel run is the retry machine's single-leg case: no source
-  // selection, breakers or hedging, and no event names a CDN source.
-  const auto manifest = make_manifest(90.0, 2.0);
-  const PlayerSimulator simulator(manifest);
-  const auto session = make_session(90.0, 6.0, -104.0, 2.0);
-
-  net::FaultSpec spec;
-  spec.outages = {{20.0, 32.0}};
-  spec.failure_prob = 0.2;
-  spec.stall_prob = 0.2;
-  spec.seed = 23;
-  const net::FaultInjector faults(session.throughput_mbps, spec, &session.signal_dbm);
-
-  ProbePolicy policy(6);
-  SessionTimeline timeline;
-  const auto result = simulator.run(policy, session, faults, &timeline);
-
-  ASSERT_EQ(result.tasks.size(), manifest.num_segments());
-  EXPECT_GT(result.total_retries, 0U);
-  EXPECT_GT(timeline.count(SessionEventType::kAttemptDeadline), 0U);
-  EXPECT_GT(timeline.count(SessionEventType::kAttemptFailure), 0U);
-  EXPECT_EQ(timeline.count(SessionEventType::kSourceFailover), 0U);
-  EXPECT_EQ(timeline.count(SessionEventType::kHedgeIssued), 0U);
-  EXPECT_EQ(timeline.count(SessionEventType::kHedgeComplete), 0U);
-  EXPECT_EQ(timeline.count(SessionEventType::kBreakerTransition), 0U);
-  for (const auto& event : timeline.events()) {
-    EXPECT_EQ(event.source, kNoIndex) << to_string(event.type);
-  }
-  EXPECT_EQ(result.total_hedges, 0U);
-  EXPECT_EQ(result.total_failovers, 0U);
-  EXPECT_EQ(result.breaker_transitions, 0U);
-  for (const auto& task : result.tasks) {
-    EXPECT_EQ(task.source, 0U);
-    EXPECT_EQ(task.hedges, 0U);
-  }
 }
 
 TEST(ResilienceTest, OutageDegradesToLowestAndRecovers) {

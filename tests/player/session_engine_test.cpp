@@ -186,6 +186,23 @@ TEST(SessionEngineTest, FaultRunEmitsDeadlineAndTransitionEvents) {
     ASSERT_GE(request_t, 0.0);
     EXPECT_NEAR(events[i].t_s - request_t, deadline_s, 1e-9);
   }
+
+  // A link-fault run is the retry machine's single-leg case: no source
+  // selection, breakers or hedging, and no event names a CDN source.
+  EXPECT_EQ(timeline.count(SessionEventType::kSourceFailover), 0U);
+  EXPECT_EQ(timeline.count(SessionEventType::kHedgeIssued), 0U);
+  EXPECT_EQ(timeline.count(SessionEventType::kHedgeComplete), 0U);
+  EXPECT_EQ(timeline.count(SessionEventType::kBreakerTransition), 0U);
+  for (const auto& event : events) {
+    EXPECT_EQ(event.source, kNoIndex) << to_string(event.type);
+  }
+  EXPECT_EQ(result.total_hedges, 0U);
+  EXPECT_EQ(result.total_failovers, 0U);
+  EXPECT_EQ(result.breaker_transitions, 0U);
+  for (const auto& task : result.tasks) {
+    EXPECT_EQ(task.source, 0U);
+    EXPECT_EQ(task.hedges, 0U);
+  }
 }
 
 TEST(SessionEngineTest, InactiveInjectorMatchesFaultFreeBitForBit) {
