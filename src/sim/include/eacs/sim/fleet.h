@@ -8,8 +8,10 @@
 // sessions on a city of cells? — with three structural changes:
 //
 //   * Event queue, not stepping. Each region runs one binary min-heap of
-//     (time, session, kind) events; a session costs O(log live) per segment
-//     instead of O(steps), and idle time costs nothing.
+//     (time, session, kind) events holding at most one event per live
+//     session, merged with an arrival cursor that holds only the next
+//     session to arrive; a session costs O(log live) per segment instead of
+//     O(steps), and idle time costs nothing.
 //   * SoA arena state. Per-session state lives in parallel arrays indexed by
 //     slot, with a free list recycling slots as sessions finish — memory is
 //     O(cells + peak live sessions), not O(total sessions).
@@ -246,7 +248,8 @@ struct FleetMetrics {
 
 /// Runs the fleet. Deterministic in (config): bit-identical at any
 /// exec.jobs. Throws std::invalid_argument on an empty ladder, zero
-/// sessions, zero cells, zero segments, a non-finite or non-positive
+/// sessions, more sessions than an int session id can number (INT_MAX),
+/// zero cells, zero segments, a non-finite or non-positive
 /// segment duration / arrival rate, more regions than cells (or zero
 /// regions), a malformed fault spec, or malformed resilience knobs.
 FleetMetrics run_fleet(const FleetConfig& config);

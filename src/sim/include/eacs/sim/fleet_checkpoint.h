@@ -8,7 +8,11 @@
 // and DecisionCache shard contents. Because every event (t, session, kind)
 // is unique — each live session has exactly one pending event — the heap pop
 // order is a strict total order, so re-pushing the captured event multiset
-// reproduces the remaining pop sequence exactly. The certification is
+// reproduces the remaining pop sequence exactly. Sessions yet to arrive are
+// not heap events in the running fleet (a per-region arrival cursor holds
+// the next one); capture writes them as arrive events in the same pop
+// order, and resume checks them against the arrival schedule and hands them
+// back to the cursor. The certification is
 // EXPECT_EQ: run_fleet_until(T) + resume_fleet == run_fleet, bitwise, at any
 // jobs count, with or without faults (tests/differential/).
 //
@@ -91,7 +95,9 @@ struct FleetShedState {
 struct FleetRegionCheckpoint {
   std::size_t region = 0;
   std::size_t live = 0;
-  std::vector<FleetEventState> events;  ///< pending events, in pop order
+  /// Pending events in pop order, the region's sessions yet to arrive
+  /// included (kind 0, one per session arriving at or after the cut).
+  std::vector<FleetEventState> events;
   FleetArenaState arena;
   std::vector<std::size_t> cell_active;  ///< in-flight downloads per cell
   FleetRegionMetrics metrics;  ///< counters so far (medians still zero)
@@ -123,7 +129,9 @@ FleetCheckpoint run_fleet_until(const FleetConfig& config, double t_s);
 /// Continues a checkpointed run to completion. Bit-identical to the
 /// uninterrupted run_fleet(config) at any exec.jobs. Throws
 /// std::invalid_argument when the checkpoint's fingerprint does not match
-/// `config` or its region count is inconsistent.
+/// `config`, its region count is inconsistent, or a region's pending
+/// arrivals are not exactly its sessions arriving at or after the cut, with
+/// bit-equal times.
 FleetMetrics resume_fleet(const FleetConfig& config,
                           const FleetCheckpoint& checkpoint);
 

@@ -121,13 +121,27 @@ struct FleetFaultSpec {
   }
 };
 
+/// The fault state of one cell at one instant: the answers of cell_dead,
+/// capacity_factor and signal_offset_db from a single lookup. The default
+/// value is the healthy (neutral) state.
+struct CellFaultState {
+  bool dead = false;
+  double capacity_factor = 1.0;
+  double signal_offset_db = 0.0;
+
+  bool operator==(const CellFaultState&) const = default;
+};
+
 /// Materialized fault overlay: scripted and seeded episodes merged into one
 /// queryable timeline. Construction validates the spec (throws
 /// std::invalid_argument on an empty/reversed interval, a cell range outside
 /// the network, a capacity factor outside (0, 1], a positive signal offset,
-/// a non-positive surge multiplier, or a malformed seeded config) and
-/// precomputes the surge-warped arrival profile. All queries are pure and
-/// O(episodes).
+/// a non-positive surge multiplier, or a malformed seeded config),
+/// precomputes the surge-warped arrival profile, and indexes the cell
+/// episodes into a per-cell span table: one entry per distinct episode edge
+/// of that cell, holding the combined state of the episodes active from
+/// that edge on. All queries are pure; a cell query is one binary search,
+/// O(log spans per cell), and an arrival query O(log surge segments).
 class FleetFaultModel {
  public:
   FleetFaultModel(const FleetFaultSpec& spec, std::size_t num_cells);
@@ -138,17 +152,27 @@ class FleetFaultModel {
            profile_.empty();
   }
 
+  /// Everything the queries below report for `cell` at `t_s`, from one
+  /// span lookup. Episodes are half-open: active on [t0_s, t1_s).
+  CellFaultState cell_state(std::size_t cell, double t_s) const noexcept;
+
   /// Is `cell` inside an active outage at `t_s`?
-  bool cell_dead(std::size_t cell, double t_s) const noexcept;
+  bool cell_dead(std::size_t cell, double t_s) const noexcept {
+    return cell_state(cell, t_s).dead;
+  }
 
   /// Brownout capacity multiplier for `cell` at `t_s`: 1 when healthy, the
   /// most severe (smallest) active factor otherwise. Outages are not folded
   /// in — a dead cell is gated by cell_dead, not by zero capacity.
-  double capacity_factor(std::size_t cell, double t_s) const noexcept;
+  double capacity_factor(std::size_t cell, double t_s) const noexcept {
+    return cell_state(cell, t_s).capacity_factor;
+  }
 
   /// Signal offset for `cell` at `t_s` [dB]: 0 when healthy, the most
   /// negative active collapse offset otherwise.
-  double signal_offset_db(std::size_t cell, double t_s) const noexcept;
+  double signal_offset_db(std::size_t cell, double t_s) const noexcept {
+    return cell_state(cell, t_s).signal_offset_db;
+  }
 
   /// True when any arrival surge exists (scripted or seeded).
   bool has_surges() const noexcept { return !profile_.empty(); }
@@ -156,8 +180,16 @@ class FleetFaultModel {
   /// Arrival time of fleet session `session` under the surge-warped
   /// schedule: the t with integral_0^t multiplier(u) du == session /
   /// base_rate. Reduces to session / base_rate exactly when no surge covers
-  /// the interval. Strictly increasing in `session`.
+  /// the interval. Non-decreasing in `session` inside each segment of the
+  /// rate profile; at a segment edge, rounding may place the last session
+  /// before the edge a few ulps past it (see arrival_floor).
   double arrival_time(std::size_t session, double base_rate_per_s) const noexcept;
+
+  /// A lower bound on arrival_time(s, base_rate_per_s) over every s >=
+  /// `session`: arrival_time(session) itself, unless rounding pushed that
+  /// time past the next surge-profile edge, in which case the edge. The
+  /// fleet's arrival cursor relies on it to emit arrivals in time order.
+  double arrival_floor(std::size_t session, double base_rate_per_s) const noexcept;
 
   // Materialized episode lists (scripted + seeded, in timeline order) —
   // exposed for the fault study's reporting.
@@ -180,10 +212,23 @@ class FleetFaultModel {
     double cum_units = 0.0;
   };
 
+  /// Index of the profile segment holding `target` multiplier-seconds.
+  std::size_t surge_segment(double target) const noexcept;
+
+  void build_span_index(std::size_t num_cells);
+
   std::vector<CellOutage> outages_;
   std::vector<CapacityBrownout> brownouts_;
   std::vector<SignalCollapse> collapses_;
   std::vector<SurgeSegment> profile_;  // empty when no surges
+
+  // Per-cell span table, flattened: cell c owns entries
+  // [span_begin_[c], span_begin_[c + 1]) of span_t_ / span_state_, sorted by
+  // edge time. span_state_[i] holds from span_t_[i] up to the next edge;
+  // before a cell's first edge the cell is healthy.
+  std::vector<std::size_t> span_begin_;
+  std::vector<double> span_t_;
+  std::vector<CellFaultState> span_state_;
 };
 
 }  // namespace eacs::sim

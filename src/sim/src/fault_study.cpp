@@ -63,7 +63,8 @@ FaultStudyResult run_fault_study(const FaultStudyConfig& config) {
     abr::Festive festive;
     abr::Bba bba(5.0, config.evaluation.player.buffer_threshold_s);
     core::OnlineBitrateSelector ours(
-        objective, {.startup_level = config.evaluation.online_startup_level});
+        objective, {.startup_level = config.evaluation.online_startup_level,
+                    .cache = nullptr});
     core::PlannedPolicy optimal(plans[s]);
 
     const std::vector<player::AbrPolicy*> policies = {&youtube, &festive, &bba,

@@ -1,6 +1,7 @@
 #include "eacs/sim/fleet.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <optional>
@@ -31,8 +32,9 @@ double session_vibration(std::uint64_t seed, int session_id) noexcept {
 }
 
 /// One scheduled event. Every live session has exactly one pending event
-/// (arrive -> request -> complete -> request -> ...), so events can carry
-/// their slot index and never go stale.
+/// (request -> complete -> request -> ...), so events can carry their slot
+/// index and never go stale. Arrivals come from the region's arrival cursor
+/// and only pass through the heap in the rare case noted at pop_next.
 struct Event {
   double t_s = 0.0;
   int session = 0;
@@ -47,7 +49,8 @@ constexpr std::uint8_t kComplete = 2;
 /// timestamps, independent of heap internals. Because each session owns at
 /// most one pending event, the order is a strict total order — which is what
 /// lets a checkpoint re-push the captured event multiset and reproduce the
-/// remaining pop sequence exactly.
+/// remaining pop sequence exactly. The arrival cursor merges into the same
+/// order.
 struct EventAfter {
   bool operator()(const Event& a, const Event& b) const noexcept {
     if (a.t_s != b.t_s) return a.t_s > b.t_s;
@@ -223,6 +226,15 @@ struct RegionSim {
   std::priority_queue<Event, std::vector<Event>, EventAfter> heap;
   std::size_t live = 0;
 
+  // Arrival cursor: the region's sessions (region, region + regions, ...)
+  // arrive in id order, so only the next one is held instead of a heap
+  // event per future arrival. next_arrival >= num_sessions when exhausted.
+  // arrival_floor_s bounds every later arrival's time from below (see
+  // FleetFaultModel::arrival_floor).
+  std::size_t next_arrival = 0;
+  double arrival_t_s = 0.0;
+  double arrival_floor_s = 0.0;
+
   // Planner-policy machinery: one cache shard per region, one Objective per
   // region, and a reusable window of TaskEnvironments (sizes/durations are
   // fleet-constant — only the context fields change per solve, and only to
@@ -294,22 +306,55 @@ struct RegionSim {
         ladder_ids[k] = core::hash_task_ladder({window_tasks.data(), k + 1});
       }
     }
+    seek_arrival(region);
   }
 
-  /// Constant-rate arrival schedule, shared fleet-wide: session s arrives at
-  /// s / rate whatever region it lands in — or at the surge-warped time when
-  /// a flash crowd is configured.
-  void seed_arrivals() {
-    const bool surges = faults != nullptr && faults->has_surges();
-    for (int s = static_cast<int>(region);
-         s < static_cast<int>(config.num_sessions);
-         s += static_cast<int>(num_regions)) {
-      const double t =
-          surges ? faults->arrival_time(static_cast<std::size_t>(s),
-                                        config.arrival_rate_per_s)
-                 : static_cast<double>(s) / config.arrival_rate_per_s;
-      heap.push({t, s, kArrive, 0});
+  /// Moves the arrival cursor to session `s`. The schedule is shared
+  /// fleet-wide: session s arrives at s / rate whatever region it lands in —
+  /// or at the surge-warped time when a flash crowd is configured.
+  void seek_arrival(std::size_t s) {
+    next_arrival = s;
+    if (s >= config.num_sessions) return;
+    if (faults != nullptr && faults->has_surges()) {
+      arrival_t_s = faults->arrival_time(s, config.arrival_rate_per_s);
+      arrival_floor_s = faults->arrival_floor(s, config.arrival_rate_per_s);
+    } else {
+      // Division is monotone: no later session arrives earlier.
+      arrival_t_s = static_cast<double>(s) / config.arrival_rate_per_s;
+      arrival_floor_s = arrival_t_s;
     }
+  }
+
+  bool arrivals_pending() const noexcept {
+    return next_arrival < config.num_sessions;
+  }
+
+  Event arrival_event() const noexcept {
+    return {arrival_t_s, static_cast<int>(next_arrival), kArrive, 0};
+  }
+
+  /// Pops the next event in (t, session, kind) order across the heap and
+  /// the arrival cursor into `out`, if it is strictly before `limit`.
+  bool pop_next(double limit, Event& out) {
+    // An arrival that rounding may have placed after a later session's
+    // (past a surge-profile edge, see FleetFaultModel::arrival_floor) is
+    // parked in the heap, so the cursor's arrival always precedes every
+    // arrival not yet emitted and the merge below is exact.
+    while (arrivals_pending() && arrival_floor_s < arrival_t_s) {
+      heap.push(arrival_event());
+      seek_arrival(next_arrival + num_regions);
+    }
+    if (arrivals_pending() &&
+        (heap.empty() || EventAfter{}(heap.top(), arrival_event()))) {
+      if (!(arrival_t_s < limit)) return false;
+      out = arrival_event();
+      seek_arrival(next_arrival + num_regions);
+      return true;
+    }
+    if (heap.empty() || !(heap.top().t_s < limit)) return false;
+    out = heap.top();
+    heap.pop();
+    return true;
   }
 
   /// Signal with the fault overlay applied; only called when faults != null.
@@ -334,50 +379,67 @@ struct RegionSim {
     ++shard.region.stall_events;
   }
 
-  /// Strongest live (non-dead) cell in the region by faulted signal, lowest
-  /// index winning ties; num_cells() sentinel when the whole region is dead.
-  std::size_t best_live_cell(int session_id, double now) const {
-    std::size_t best = network.num_cells();
-    double best_dbm = -std::numeric_limits<double>::infinity();
+  /// The faulted view of one live cell at one instant.
+  struct LiveCell {
+    std::size_t cell = 0;
+    double signal_dbm = 0.0;
+    double capacity_factor = 1.0;
+  };
+
+  /// One pass over the region's cells at `now`, one span lookup each: the
+  /// strongest live (non-dead) cell by faulted signal, lowest index winning
+  /// ties (cell == num_cells() when the whole region is dead), and the
+  /// serving cell `current` (cell == num_cells() when it is dead).
+  struct RegionScan {
+    LiveCell best;
+    LiveCell current;
+  };
+  RegionScan scan_region(int session_id, std::size_t current,
+                         double now) const {
+    RegionScan scan;
+    scan.best.cell = network.num_cells();
+    scan.current.cell = network.num_cells();
     for (std::size_t c = first_cell; c < first_cell + cell_count; ++c) {
-      if (faults->cell_dead(c, now)) continue;
-      const double dbm = fault_signal(session_id, c, now);
-      if (best == network.num_cells() || dbm > best_dbm) {
-        best_dbm = dbm;
-        best = c;
+      const CellFaultState state = faults->cell_state(c, now);
+      if (state.dead) continue;
+      const LiveCell cell{
+          c, network.signal_dbm(session_id, c, now) + state.signal_offset_db,
+          state.capacity_factor};
+      if (scan.best.cell == network.num_cells() ||
+          cell.signal_dbm > scan.best.signal_dbm) {
+        scan.best = cell;
       }
+      if (c == current) scan.current = cell;
     }
-    return best;
+    return scan;
   }
 
   /// Fault-aware serving-cell maintenance at a request boundary. Returns
-  /// true when the request can proceed on a live cell; false when the
-  /// session backed off (re-enqueued) or was abandoned.
-  bool ensure_live_cell(const Event& event, double now) {
+  /// the live serving cell's faulted view when the request can proceed;
+  /// nullopt when the session backed off (re-enqueued) or was abandoned.
+  std::optional<LiveCell> ensure_live_cell(const Event& event, double now) {
     const std::uint32_t slot = event.slot;
-    const std::size_t current = arena.cell[slot];
-    if (!faults->cell_dead(current, now)) {
+    const RegionScan scan = scan_region(event.session, arena.cell[slot], now);
+    if (scan.current.cell != network.num_cells()) {
       // Healthy serving cell: the hysteresis handoff rule, restricted to
       // live cells (mirrors CellNetwork::serving_cell).
-      const std::size_t best = best_live_cell(event.session, now);
-      if (best != current &&
-          fault_signal(event.session, best, now) -
-                  fault_signal(event.session, current, now) >
-              config.handoff_hysteresis_db) {
-        arena.cell[slot] = best;
-        ++shard.region.handoffs;
-      }
       arena.retries[slot] = 0;
-      return true;
+      if (scan.best.cell != scan.current.cell &&
+          scan.best.signal_dbm - scan.current.signal_dbm >
+              config.handoff_hysteresis_db) {
+        arena.cell[slot] = scan.best.cell;
+        ++shard.region.handoffs;
+        return scan.best;
+      }
+      return scan.current;
     }
     // Dead serving cell: escape to the strongest live cell in the region —
     // no hysteresis, any live cell beats a dead one.
-    const std::size_t best = best_live_cell(event.session, now);
-    if (best != network.num_cells()) {
-      arena.cell[slot] = best;
+    if (scan.best.cell != network.num_cells()) {
+      arena.cell[slot] = scan.best.cell;
       ++shard.region.escape_handoffs;
       arena.retries[slot] = 0;
-      return true;
+      return scan.best;
     }
     // Whole region dead: bounded exponential backoff, burning pause power
     // (the screen is on, the spinner spins — the rich player's stall
@@ -387,7 +449,7 @@ struct RegionSim {
       ++shard.region.abandoned_sessions;
       --live;
       arena.release(slot);
-      return false;
+      return std::nullopt;
     }
     double backoff = config.resilience.backoff_base_s;
     for (std::uint32_t i = 1; i < arena.retries[slot]; ++i) {
@@ -400,7 +462,7 @@ struct RegionSim {
     shard.region.degraded_time_s += backoff;
     ++shard.region.backoff_retries;
     heap.push({now + backoff, event.session, kRequest, slot});
-    return false;
+    return std::nullopt;
   }
 
   /// Overload-shed decision for this request, updating the trigger state
@@ -476,9 +538,8 @@ struct RegionSim {
     const double seg_s = config.segment_duration_s;
     const std::size_t top_level = config.ladder_mbps.size() - 1;
 
-    while (!heap.empty() && heap.top().t_s < limit) {
-      const Event event = heap.top();
-      heap.pop();
+    Event event;
+    while (pop_next(limit, event)) {
       ++shard.region.events;
       const double now = event.t_s;
 
@@ -510,17 +571,20 @@ struct RegionSim {
           }
         }
         // Handoff check at every request boundary (hysteresis rule). With a
-        // fault overlay this also escapes dead cells, backs off, or abandons.
+        // fault overlay this also escapes dead cells, backs off, or abandons,
+        // and yields the serving cell's faulted signal and capacity factor.
+        std::optional<LiveCell> serving;
         if (faults == nullptr) {
-          const std::size_t serving = network.serving_cell(
+          const std::size_t cell = network.serving_cell(
               event.session, arena.cell[slot], now,
               config.handoff_hysteresis_db, first_cell, cell_count);
-          if (serving != arena.cell[slot]) {
-            arena.cell[slot] = serving;
+          if (cell != arena.cell[slot]) {
+            arena.cell[slot] = cell;
             ++shard.region.handoffs;
           }
-        } else if (!ensure_live_cell(event, now)) {
-          continue;
+        } else {
+          serving = ensure_live_cell(event, now);
+          if (!serving) continue;
         }
         std::size_t level = 0;
         if (planner) {
@@ -557,7 +621,7 @@ struct RegionSim {
             snapshot.signal_dbm =
                 faults == nullptr
                     ? network.signal_dbm(event.session, arena.cell[slot], now)
-                    : fault_signal(event.session, arena.cell[slot], now);
+                    : serving->signal_dbm;
             snapshot.segments_remaining = window;
             if (arena.prev_level[slot] >= 0) {
               snapshot.prev_level =
@@ -611,9 +675,7 @@ struct RegionSim {
         // ensure_live_cell gates them.
         const std::size_t local = arena.cell[slot] - first_cell;
         double capacity = network.capacity_mbps(arena.cell[slot], now);
-        if (faults != nullptr) {
-          capacity *= faults->capacity_factor(arena.cell[slot], now);
-        }
+        if (faults != nullptr) capacity *= serving->capacity_factor;
         const double share = std::max(
             capacity / static_cast<double>(cell_active[local] + 1), 1e-6);
         ++cell_active[local];
@@ -702,15 +764,15 @@ struct RegionSim {
     }
   }
 
-  /// Drains the remaining event heap into a checkpoint (terminal: the sim
-  /// cannot continue after capture).
+  /// Drains the remaining events — the heap and the arrival cursor's
+  /// pending arrivals, merged in pop order — into a checkpoint (terminal: the
+  /// sim cannot continue after capture).
   FleetRegionCheckpoint capture() {
     FleetRegionCheckpoint ckpt;
     ckpt.region = region;
     ckpt.live = live;
-    while (!heap.empty()) {
-      const Event e = heap.top();
-      heap.pop();
+    Event e;
+    while (pop_next(std::numeric_limits<double>::infinity(), e)) {
       ckpt.events.push_back({e.t_s, e.session, e.kind, e.slot});
     }
     FleetArenaState& a = ckpt.arena;
@@ -760,10 +822,11 @@ struct RegionSim {
     return ckpt;
   }
 
-  /// Reinstates a captured region state. Throws std::invalid_argument on an
-  /// internally inconsistent checkpoint (wrong region, wrong cell count,
-  /// ragged arena vectors).
-  void restore(const FleetRegionCheckpoint& ckpt) {
+  /// Reinstates a region state captured at sim time `cut_s`. Throws
+  /// std::invalid_argument on an internally inconsistent checkpoint (wrong
+  /// region, wrong cell count, ragged arena vectors, pending arrivals that
+  /// are not the schedule's).
+  void restore(const FleetRegionCheckpoint& ckpt, double cut_s) {
     if (ckpt.region != region) {
       throw std::invalid_argument("resume_fleet: checkpoint region mismatch");
     }
@@ -820,9 +883,15 @@ struct RegionSim {
     arena.throughputs = a.throughputs;
     arena.seen = a.seen;
     arena.free_slots = a.free_slots;
+    std::vector<Event> arrivals;  // captured pending arrivals, in pop order
     for (const FleetEventState& e : ckpt.events) {
-      heap.push({e.t_s, e.session, e.kind, e.slot});
+      if (e.kind == kArrive) {
+        arrivals.push_back({e.t_s, e.session, e.kind, e.slot});
+      } else {
+        heap.push({e.t_s, e.session, e.kind, e.slot});
+      }
     }
+    restore_arrivals(arrivals, cut_s);
     cell_active = ckpt.cell_active;
     live = ckpt.live;
     shard.region = ckpt.metrics;
@@ -844,6 +913,43 @@ struct RegionSim {
     if (cache) cache->restore_state(ckpt.cache);
   }
 
+  /// Folds captured pending arrivals back into the cursor. They must be
+  /// exactly the region's sessions arriving at or after the cut, with
+  /// bit-equal times, in pop order — the arrival suffix from the first
+  /// pending session on. Should rounding ever put a session before the cut
+  /// and an earlier one after it, the pending sessions ahead of the
+  /// all-pending tail are parked in the heap, as pop_next parks them.
+  void restore_arrivals(const std::vector<Event>& captured, double cut_s) {
+    std::vector<Event> expected;
+    std::size_t tail = region;  // first session of the all-pending tail
+    for (std::size_t s = region; s < config.num_sessions; s += num_regions) {
+      seek_arrival(s);
+      if (arrival_t_s < cut_s) {
+        tail = s + num_regions;
+      } else {
+        expected.push_back(arrival_event());
+      }
+    }
+    std::sort(expected.begin(), expected.end(),
+              [](const Event& a, const Event& b) { return EventAfter{}(b, a); });
+    const bool match = std::equal(
+        expected.begin(), expected.end(), captured.begin(), captured.end(),
+        [](const Event& a, const Event& b) {
+          return a.session == b.session &&
+                 std::bit_cast<std::uint64_t>(a.t_s) ==
+                     std::bit_cast<std::uint64_t>(b.t_s);
+        });
+    if (!match) {
+      throw std::invalid_argument(
+          "resume_fleet: checkpoint pending arrivals do not match the "
+          "arrival schedule");
+    }
+    for (const Event& e : expected) {
+      if (static_cast<std::size_t>(e.session) < tail) heap.push(e);
+    }
+    seek_arrival(tail);
+  }
+
   Shard finish() {
     shard.region.median_qoe = shard.median_qoe.value();
     shard.region.median_energy_j = shard.median_energy.value();
@@ -863,6 +969,12 @@ std::size_t validate_fleet_config(const FleetConfig& config) {
   }
   if (config.num_sessions == 0 || config.segments_per_session == 0) {
     throw std::invalid_argument("run_fleet: zero sessions or segments");
+  }
+  // Session ids are ints (events, arena, seed_mix lanes).
+  if (config.num_sessions >
+      static_cast<std::size_t>(std::numeric_limits<int>::max())) {
+    throw std::invalid_argument(
+        "run_fleet: num_sessions exceeds the int session-id range");
   }
   if (!(std::isfinite(config.arrival_rate_per_s) &&
         config.arrival_rate_per_s > 0.0)) {
@@ -943,9 +1055,7 @@ FleetMetrics run_fleet_impl(const FleetConfig& config,
         RegionSim sim(config, network, qoe_model, power_model, faults, region,
                       regions);
         if (checkpoint != nullptr) {
-          sim.restore(checkpoint->regions[region]);
-        } else {
-          sim.seed_arrivals();
+          sim.restore(checkpoint->regions[region], checkpoint->checkpoint_t_s);
         }
         sim.run(std::numeric_limits<double>::infinity());
         return sim.finish();
@@ -1014,7 +1124,6 @@ FleetCheckpoint run_fleet_until(const FleetConfig& config, double t_s) {
       config.exec.resolved_jobs(), regions, [&](std::size_t region) {
         RegionSim sim(config, network, qoe_model, power_model, faults, region,
                       regions);
-        sim.seed_arrivals();
         sim.run(t_s);
         return sim.capture();
       });

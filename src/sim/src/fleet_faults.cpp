@@ -36,10 +36,6 @@ void check_cells(std::size_t first, std::size_t count, std::size_t total,
   }
 }
 
-bool covers(std::size_t first, std::size_t count, std::size_t cell) noexcept {
-  return cell >= first && cell - first < count;
-}
-
 bool active(double t0, double t1, double t_s) noexcept {
   return t_s >= t0 && t_s < t1;
 }
@@ -211,49 +207,131 @@ FleetFaultModel::FleetFaultModel(const FleetFaultSpec& spec,
       profile_.clear();  // all surges were neutral: identity warp
     }
   }
+
+  build_span_index(num_cells);
 }
 
-bool FleetFaultModel::cell_dead(std::size_t cell, double t_s) const noexcept {
+void FleetFaultModel::build_span_index(std::size_t num_cells) {
+  // One cell-episode per (episode, covered cell), as the state change it
+  // applies. Neutral components combine as no-ops: min(factor, 1.0) and
+  // min(offset, 0.0) return their first argument for every valid state.
+  struct CellEpisode {
+    double t0_s;
+    double t1_s;
+    CellFaultState effect;
+  };
+  // Per-cell episode lists: each episode visits only the cells it covers.
+  std::vector<std::vector<CellEpisode>> per_cell(num_cells);
+  const auto add = [&](std::size_t first, std::size_t count,
+                       const CellEpisode& episode) {
+    for (std::size_t c = first; c < first + count; ++c) {
+      per_cell[c].push_back(episode);
+    }
+  };
   for (const CellOutage& o : outages_) {
-    if (active(o.t0_s, o.t1_s, t_s) && covers(o.first_cell, o.num_cells, cell)) {
-      return true;
-    }
+    add(o.first_cell, o.num_cells, {o.t0_s, o.t1_s, {true}});
   }
-  return false;
-}
-
-double FleetFaultModel::capacity_factor(std::size_t cell,
-                                        double t_s) const noexcept {
-  double factor = 1.0;
   for (const CapacityBrownout& b : brownouts_) {
-    if (active(b.t0_s, b.t1_s, t_s) && covers(b.first_cell, b.num_cells, cell)) {
-      factor = std::min(factor, b.capacity_factor);
-    }
+    add(b.first_cell, b.num_cells,
+        {b.t0_s, b.t1_s, {false, b.capacity_factor}});
   }
-  return factor;
+  for (const SignalCollapse& c : collapses_) {
+    add(c.first_cell, c.num_cells, {c.t0_s, c.t1_s, {false, 1.0, c.offset_db}});
+  }
+
+  // Sweep each cell's edges in time order, keeping the episodes active at
+  // the current edge (t0 <= edge < t1). The combined state at an edge holds
+  // until the next edge, so an entry is written only where the state
+  // changes — starting from the healthy state before the first edge. Min
+  // and or are exact and order-free, so every entry is bit-equal to the
+  // combination over the episodes active at its edge.
+  span_begin_.assign(num_cells + 1, 0);
+  std::vector<double> edges;
+  std::vector<CellEpisode> live;
+  for (std::size_t c = 0; c < num_cells; ++c) {
+    std::vector<CellEpisode>& episodes = per_cell[c];
+    std::sort(episodes.begin(), episodes.end(),
+              [](const CellEpisode& a, const CellEpisode& b) {
+                return a.t0_s < b.t0_s;
+              });
+    edges.clear();
+    for (const CellEpisode& e : episodes) {
+      edges.push_back(e.t0_s);
+      edges.push_back(e.t1_s);
+    }
+    std::sort(edges.begin(), edges.end());
+    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+
+    live.clear();
+    auto next = episodes.begin();
+    CellFaultState previous;
+    for (const double edge : edges) {
+      for (; next != episodes.end() && next->t0_s <= edge; ++next) {
+        live.push_back(*next);
+      }
+      std::erase_if(live, [edge](const CellEpisode& e) { return e.t1_s <= edge; });
+      CellFaultState state;
+      for (const CellEpisode& e : live) {
+        state.dead = state.dead || e.effect.dead;
+        state.capacity_factor =
+            std::min(state.capacity_factor, e.effect.capacity_factor);
+        state.signal_offset_db =
+            std::min(state.signal_offset_db, e.effect.signal_offset_db);
+      }
+      if (state == previous) continue;
+      span_t_.push_back(edge);
+      span_state_.push_back(state);
+      previous = state;
+    }
+    span_begin_[c + 1] = span_t_.size();
+  }
 }
 
-double FleetFaultModel::signal_offset_db(std::size_t cell,
-                                         double t_s) const noexcept {
-  double offset = 0.0;
-  for (const SignalCollapse& c : collapses_) {
-    if (active(c.t0_s, c.t1_s, t_s) && covers(c.first_cell, c.num_cells, cell)) {
-      offset = std::min(offset, c.offset_db);
-    }
-  }
-  return offset;
+CellFaultState FleetFaultModel::cell_state(std::size_t cell,
+                                           double t_s) const noexcept {
+  if (cell + 1 >= span_begin_.size()) return {};
+  const auto first =
+      span_t_.begin() + static_cast<std::ptrdiff_t>(span_begin_[cell]);
+  const auto last =
+      span_t_.begin() + static_cast<std::ptrdiff_t>(span_begin_[cell + 1]);
+  // The last edge at or before t_s. A NaN t_s lands past every edge, where
+  // no episode is active: the healthy state, as for any t_s outside.
+  const auto it = std::upper_bound(first, last, t_s);
+  if (it == first) return {};
+  return span_state_[static_cast<std::size_t>(it - span_t_.begin()) - 1];
 }
 
 double FleetFaultModel::arrival_time(std::size_t session,
                                      double base_rate_per_s) const noexcept {
   const double target = static_cast<double>(session) / base_rate_per_s;
   if (profile_.empty()) return target;
-  // Find the last segment whose cumulative units do not exceed the target,
-  // then invert the piecewise-linear integral inside it.
-  std::size_t i = profile_.size() - 1;
-  while (i > 0 && profile_[i].cum_units > target) --i;
-  const SurgeSegment& seg = profile_[i];
+  // Invert the piecewise-linear integral inside the target's segment.
+  const SurgeSegment& seg = profile_[surge_segment(target)];
   return seg.t0_s + (target - seg.cum_units) / seg.rate_mult;
+}
+
+double FleetFaultModel::arrival_floor(std::size_t session,
+                                      double base_rate_per_s) const noexcept {
+  const double t = arrival_time(session, base_rate_per_s);
+  if (profile_.empty()) return t;
+  // A later session's target is no smaller. In this segment its time is
+  // then no earlier than t (every step of the inversion is monotone); in a
+  // later segment it is that segment's t0_s plus a non-negative term, so no
+  // earlier than the next edge.
+  const std::size_t i =
+      surge_segment(static_cast<double>(session) / base_rate_per_s);
+  return i + 1 < profile_.size() ? std::min(t, profile_[i + 1].t0_s) : t;
+}
+
+std::size_t FleetFaultModel::surge_segment(double target) const noexcept {
+  // The last segment whose cumulative units do not exceed the target (the
+  // first segment when none does). cum_units only grows along the profile.
+  const auto it = std::upper_bound(
+      profile_.begin(), profile_.end(), target,
+      [](double units, const SurgeSegment& seg) { return units < seg.cum_units; });
+  return it == profile_.begin()
+             ? 0
+             : static_cast<std::size_t>(it - profile_.begin()) - 1;
 }
 
 }  // namespace eacs::sim

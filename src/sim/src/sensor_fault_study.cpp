@@ -149,7 +149,8 @@ SensorFaultStudyResult run_sensor_fault_study(
                             const sensors::SensorFaultInjector* faults) {
     const auto& session = sessions[s];
     core::OnlineBitrateSelector ours(
-        objective, {.startup_level = config.evaluation.online_startup_level});
+        objective, {.startup_level = config.evaluation.online_startup_level,
+                    .cache = nullptr});
     const auto playback = faults != nullptr
                               ? simulators[s].run(ours, session, *faults)
                               : simulators[s].run(ours, session);

@@ -6,6 +6,7 @@
 // degenerate ones (before the first arrival, after the drain). The sidecar
 // file round-trips the checkpoint exactly, and the config fingerprint
 // refuses to resume under a config that would silently diverge.
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -13,11 +14,13 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "eacs/sim/fleet.h"
 #include "eacs/sim/fleet_checkpoint.h"
+#include "eacs/sim/fleet_faults.h"
 
 namespace eacs::sim {
 namespace {
@@ -257,6 +260,102 @@ TEST(FleetCheckpointTest, RegionCountMismatchThrows) {
   FleetCheckpoint checkpoint = run_fleet_until(config, 30.0);
   checkpoint.regions.pop_back();
   EXPECT_THROW(resume_fleet(config, checkpoint), std::invalid_argument);
+}
+
+/// Positions of the pending arrivals (kind 0) in a region's event list.
+std::vector<std::size_t> pending_arrivals(const FleetRegionCheckpoint& region) {
+  std::vector<std::size_t> out;
+  for (std::size_t i = 0; i < region.events.size(); ++i) {
+    if (region.events[i].kind == 0) out.push_back(i);
+  }
+  return out;
+}
+
+TEST(FleetCheckpointTest, RestoreRejectsTamperedPendingArrivals) {
+  // Pending arrivals are folded back into the region's arrival cursor, so a
+  // checkpoint whose arrivals are not exactly the schedule's from the cut on
+  // must be refused rather than silently drop or move a session.
+  const FleetConfig config = faulted_fleet();  // surge-warped schedule
+  const FleetCheckpoint checkpoint = run_fleet_until(config, 12.0);
+  const std::vector<std::size_t> arrivals =
+      pending_arrivals(checkpoint.regions[0]);
+  ASSERT_GE(arrivals.size(), 3U);
+
+  for (const std::size_t victim :
+       {arrivals.front(), arrivals[arrivals.size() / 2], arrivals.back()}) {
+    FleetCheckpoint dropped = checkpoint;
+    auto& events = dropped.regions[0].events;
+    events.erase(events.begin() + static_cast<std::ptrdiff_t>(victim));
+    EXPECT_THROW(resume_fleet(config, dropped), std::invalid_argument)
+        << "dropped arrival at " << victim;
+
+    FleetCheckpoint shifted = checkpoint;
+    double& t = shifted.regions[0].events[victim].t_s;
+    t = std::nextafter(t, std::numeric_limits<double>::infinity());
+    EXPECT_THROW(resume_fleet(config, shifted), std::invalid_argument)
+        << "shifted arrival at " << victim;
+  }
+
+  // A session id swapped for another region's is refused as well.
+  FleetCheckpoint renamed = checkpoint;
+  renamed.regions[0].events[arrivals[1]].session += 1;
+  EXPECT_THROW(resume_fleet(config, renamed), std::invalid_argument);
+
+  // The untouched checkpoint still resumes to the uninterrupted result.
+  expect_metrics_eq(resume_fleet(config, checkpoint), run_fleet(config));
+}
+
+TEST(FleetCheckpointTest, CutAtSurgeWarpedArrivalResumesBitIdentical) {
+  // Cut exactly at a surge-warped (non-grid) arrival time: that arrival
+  // belongs to the resumed run, which must still match bit for bit.
+  for (const FleetPolicy policy :
+       {FleetPolicy::kThroughput, FleetPolicy::kPlanner}) {
+    FleetConfig config = faulted_fleet();  // 3x surge over [5, 25) s
+    config.policy = policy;
+    const FleetMetrics reference = run_fleet(config);
+    const FleetFaultModel model(config.faults, config.network.num_cells);
+    for (const std::size_t session : {22UL, 57UL, 103UL}) {
+      const double cut = model.arrival_time(session, config.arrival_rate_per_s);
+      ASSERT_GT(cut, 5.0);
+      ASSERT_LT(cut, 25.0);
+      // Off the unwarped 1 / rate grid.
+      ASSERT_NE(std::floor(cut * config.arrival_rate_per_s),
+                cut * config.arrival_rate_per_s);
+      const FleetCheckpoint checkpoint = run_fleet_until(config, cut);
+      bool pending = false;
+      for (const auto& event :
+           checkpoint.regions[session % config.regions].events) {
+        pending = pending || (event.kind == 0 &&
+                              event.session == static_cast<int>(session) &&
+                              event.t_s == cut);
+      }
+      EXPECT_TRUE(pending) << "session " << session;
+      expect_metrics_eq(resume_fleet(config, checkpoint), reference);
+    }
+  }
+}
+
+TEST(FleetCheckpointTest, CutsAroundAnOvershootingSurgeEdgeResume) {
+  // At this rate session 1000's warped arrival rounds a few ulps past the
+  // surge's end edge (FleetFaultModel::arrival_floor): the arrival cursor
+  // parks it in the heap. Cuts at the edge, at the session's own time and
+  // just after it all resume to the uninterrupted run.
+  FleetConfig config = small_fleet();
+  config.num_sessions = 1200;
+  config.arrival_rate_per_s = 12.068671662407787;
+  const double edge = 4.7989999999999995 + 15.028250729180353;
+  config.faults.surges.push_back({.t0_s = 4.7989999999999995,
+                                  .t1_s = edge,
+                                  .rate_multiplier = 5.1942279721273543});
+  const FleetFaultModel model(config.faults, config.network.num_cells);
+  const double t = model.arrival_time(1000, config.arrival_rate_per_s);
+  ASSERT_GT(t, edge);
+  const FleetMetrics reference = run_fleet(config);
+  for (const double cut :
+       {edge, t, std::nextafter(t, std::numeric_limits<double>::infinity())}) {
+    expect_metrics_eq(resume_fleet(config, run_fleet_until(config, cut)),
+                      reference);
+  }
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 
 #include "eacs/sim/cell_network.h"
 #include "eacs/sim/fleet.h"
+#include "eacs/sim/fleet_checkpoint.h"
 
 namespace eacs::sim {
 namespace {
@@ -115,6 +116,14 @@ TEST(FleetTest, ValidatesConfig) {
   EXPECT_THROW(run_fleet(config), std::invalid_argument);
   config = small_fleet();
   config.num_sessions = 0;
+  EXPECT_THROW(run_fleet(config), std::invalid_argument);
+  // Session ids are ints: a count past INT_MAX is refused, not truncated.
+  config = small_fleet();
+  config.num_sessions = 3'000'000'000ULL;
+  EXPECT_THROW(run_fleet(config), std::invalid_argument);
+  EXPECT_THROW(run_fleet_until(config, 10.0), std::invalid_argument);
+  config.num_sessions =
+      static_cast<std::size_t>(std::numeric_limits<int>::max()) + 1;
   EXPECT_THROW(run_fleet(config), std::invalid_argument);
   config = small_fleet();
   config.segments_per_session = 0;
