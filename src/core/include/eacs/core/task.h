@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "eacs/media/manifest.h"
+#include "eacs/sensors/vibration.h"
 #include "eacs/trace/session.h"
 
 namespace eacs::core {
@@ -24,9 +25,21 @@ struct TaskEnvironment {
 };
 
 /// Builds oracle task environments for a whole session: per-task mean signal,
-/// mean throughput and streamed vibration level, sampled along the nominal
-/// playback timeline (task i spans [i*D, (i+1)*D)). Used by the optimal
-/// planner, which the paper defines as having perfect future knowledge.
+/// mean throughput and the vibration level at each task's start, sampled
+/// along the nominal playback timeline (task i spans [i*D, (i+1)*D)). Used by
+/// the optimal planner, which the paper defines as having perfect future
+/// knowledge.
+///
+/// `vibration` is the session's true vibration series, read through a cursor
+/// exactly as a replay reads it. Build it under the PlayerConfig::vibration
+/// the plan is replayed with, so the planner prices the series the replay
+/// sees. Throws std::invalid_argument unless it was built from
+/// `session.accel`.
+std::vector<TaskEnvironment> build_task_environments(
+    const media::VideoManifest& manifest, const trace::SessionTraces& session,
+    const sensors::VibrationTrack& vibration);
+
+/// Same, on a track built here under the default VibrationConfig.
 std::vector<TaskEnvironment> build_task_environments(
     const media::VideoManifest& manifest, const trace::SessionTraces& session);
 

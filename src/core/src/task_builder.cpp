@@ -1,26 +1,20 @@
 #include "eacs/core/task.h"
 
-#include "eacs/sensors/vibration.h"
+#include <stdexcept>
 
 namespace eacs::core {
 
 std::vector<TaskEnvironment> build_task_environments(
-    const media::VideoManifest& manifest, const trace::SessionTraces& session) {
+    const media::VideoManifest& manifest, const trace::SessionTraces& session,
+    const sensors::VibrationTrack& vibration) {
+  if (!vibration.built_from(session.accel)) {
+    throw std::invalid_argument(
+        "build_task_environments: vibration track not built from session.accel");
+  }
   std::vector<TaskEnvironment> tasks;
   tasks.reserve(manifest.num_segments());
 
-  // Stream the vibration estimator along the playback timeline once.
-  sensors::VibrationEstimator vibration;
   std::size_t accel_cursor = 0;
-  const auto vibration_at = [&](double t_s) {
-    while (accel_cursor < session.accel.size() &&
-           session.accel[accel_cursor].t_s <= t_s) {
-      vibration.update(session.accel[accel_cursor]);
-      ++accel_cursor;
-    }
-    return vibration.level();
-  };
-
   const std::size_t levels = manifest.ladder().size();
   for (std::size_t i = 0; i < manifest.num_segments(); ++i) {
     TaskEnvironment env;
@@ -30,7 +24,8 @@ std::vector<TaskEnvironment> build_task_environments(
     const double t1 = t0 + env.duration_s;
     env.signal_dbm = session.signal_dbm.mean_over(t0, t1);
     env.bandwidth_mbps = session.throughput_mbps.mean_over(t0, t1);
-    env.vibration = vibration_at(t0);
+    accel_cursor = vibration.advance(accel_cursor, t0);
+    env.vibration = vibration.level_after(accel_cursor);
     env.size_megabits.reserve(levels);
     for (std::size_t level = 0; level < levels; ++level) {
       env.size_megabits.push_back(manifest.segment_size_megabits(i, level));
@@ -38,6 +33,12 @@ std::vector<TaskEnvironment> build_task_environments(
     tasks.push_back(std::move(env));
   }
   return tasks;
+}
+
+std::vector<TaskEnvironment> build_task_environments(
+    const media::VideoManifest& manifest, const trace::SessionTraces& session) {
+  return build_task_environments(manifest, session,
+                                 sensors::VibrationTrack(session.accel));
 }
 
 }  // namespace eacs::core

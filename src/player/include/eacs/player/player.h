@@ -194,15 +194,24 @@ class PlayerSimulator {
   /// Replays the session with the given policy. The policy is reset() first.
   /// An optional observer receives the engine's per-event log (read-only:
   /// attaching one never changes the result).
+  ///
+  /// Every overload takes an optional `vibration` track: the session's true
+  /// vibration series, built once by callers that replay the session many
+  /// times (`sensors::VibrationTrack(session.accel, config().vibration)`).
+  /// It must come from this session's accel vector under config().vibration,
+  /// or the run throws std::invalid_argument. Null: the run builds its own.
+  /// The result is the same either way.
   PlaybackResult run(AbrPolicy& policy, const trace::SessionTraces& session,
-                     SessionObserver* observer = nullptr) const;
+                     SessionObserver* observer = nullptr,
+                     const sensors::VibrationTrack* vibration = nullptr) const;
 
   /// Replays the session through a fault injector, engaging the resilience
   /// state machine. An inactive injector (FaultSpec{}) is a strict no-op:
   /// the result is bit-identical to the fault-free overload.
   PlaybackResult run(AbrPolicy& policy, const trace::SessionTraces& session,
                      const net::FaultInjector& faults,
-                     SessionObserver* observer = nullptr) const;
+                     SessionObserver* observer = nullptr,
+                     const sensors::VibrationTrack* vibration = nullptr) const;
 
   /// Replays the session with corrupted *sensing*: the policy perceives the
   /// sensor-fault injector's accel/signal streams while the link and the true
@@ -210,13 +219,15 @@ class PlayerSimulator {
   /// inactive injector is a strict no-op.
   PlaybackResult run(AbrPolicy& policy, const trace::SessionTraces& session,
                      const sensors::SensorFaultInjector& sensor_faults,
-                     SessionObserver* observer = nullptr) const;
+                     SessionObserver* observer = nullptr,
+                     const sensors::VibrationTrack* vibration = nullptr) const;
 
   /// Link faults and sensor faults together.
   PlaybackResult run(AbrPolicy& policy, const trace::SessionTraces& session,
                      const net::FaultInjector& faults,
                      const sensors::SensorFaultInjector& sensor_faults,
-                     SessionObserver* observer = nullptr) const;
+                     SessionObserver* observer = nullptr,
+                     const sensors::VibrationTrack* vibration = nullptr) const;
 
   /// Replays the session against N CDN sources (manifest BaseURLs) with
   /// per-source server faults, circuit breakers, failover and hedged
@@ -227,7 +238,8 @@ class PlayerSimulator {
   /// `sources` is empty.
   PlaybackResult run(AbrPolicy& policy, const trace::SessionTraces& session,
                      std::span<const net::SegmentSource> sources,
-                     SessionObserver* observer = nullptr) const;
+                     SessionObserver* observer = nullptr,
+                     const sensors::VibrationTrack* vibration = nullptr) const;
 
  private:
   /// Runs one client over `link` on a SessionEngine with this simulator's
@@ -235,7 +247,8 @@ class PlayerSimulator {
   PlaybackResult run_on(const LinkModel& link, AbrPolicy& policy,
                         const trace::SessionTraces& session,
                         const sensors::SensorFaultInjector* sensor_faults,
-                        SessionObserver* observer) const;
+                        SessionObserver* observer,
+                        const sensors::VibrationTrack* vibration) const;
 
   media::VideoManifest manifest_;
   PlayerConfig config_;

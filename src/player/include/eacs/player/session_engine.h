@@ -140,30 +140,28 @@ class SessionTimeline final : public SessionObserver {
   std::vector<SessionEvent> events_;
 };
 
-/// Streams accelerometer samples into a vibration estimator in lockstep with
-/// the engine clock — the one vibration-seeding helper shared by every link
-/// mode (previously duplicated between player.cpp and multi_client.cpp).
+/// A cursor over a session's sensors::VibrationTrack, moved in lockstep
+/// with the engine clock. It holds no estimator: the track computed the
+/// series once, and every replay of the session (and the optimal planner's
+/// task builder) reads it through a cursor like this one. advance_to()
+/// stops exactly where streaming the samples with timestamp <= t_s into a
+/// VibrationEstimator would, NaN and out-of-order timestamps included.
 class VibrationClock {
  public:
-  /// `trace` is unowned and must outlive the clock.
-  VibrationClock(const sensors::AccelTrace& trace, sensors::VibrationConfig config)
-      : trace_(&trace), estimator_(config) {}
+  /// `track` is unowned and must outlive the clock.
+  explicit VibrationClock(const sensors::VibrationTrack& track) : track_(&track) {}
 
-  /// Consumes all samples with timestamp <= t_s and returns the level.
-  double advance_to(double t_s) {
-    while (cursor_ < trace_->size() && (*trace_)[cursor_].t_s <= t_s) {
-      estimator_.update((*trace_)[cursor_]);
-      ++cursor_;
-    }
-    return estimator_.level();
+  /// Moves past every sample with timestamp <= t_s and returns the level.
+  double advance_to(double t_s) noexcept {
+    cursor_ = track_->advance(cursor_, t_s);
+    return level();
   }
 
   /// Current level without consuming further samples.
-  double level() const noexcept { return estimator_.level(); }
+  double level() const noexcept { return track_->level_after(cursor_); }
 
  private:
-  const sensors::AccelTrace* trace_;
-  sensors::VibrationEstimator estimator_;
+  const sensors::VibrationTrack* track_;
   std::size_t cursor_ = 0;
 };
 
@@ -374,6 +372,14 @@ struct SessionClient {
   /// the policy saw. Null or inactive: strict no-op, bit-identical results.
   const sensors::SensorFaultInjector* sensor_faults = nullptr;
 
+  /// Optional true vibration series of `context->accel` (unowned, must
+  /// outlive the run), for callers that replay one session many times: built
+  /// once, it spares each run the estimator pass. It must have been built
+  /// from this very accel vector under the engine's PlayerConfig::vibration,
+  /// or the run throws std::invalid_argument. Null: the engine builds one
+  /// per run. Either way the values are the same.
+  const sensors::VibrationTrack* vibration_track = nullptr;
+
   // --- cellular links only (LinkModel::cells().size() > 1) ----------------
   /// Cell the client attaches to before its first handoff.
   std::size_t home_cell = 0;
@@ -411,7 +417,8 @@ class SessionEngine {
   /// Runs every client to completion against `link`; result[i] corresponds
   /// to clients[i]. Analytic links require exactly one client (join_time_s
   /// ignored); stepped links accept any number. Policies are reset() first.
-  /// Throws std::invalid_argument on null client fields.
+  /// Throws std::invalid_argument on null client fields or a vibration
+  /// track that does not belong to its client (see SessionClient).
   std::vector<PlaybackResult> run(std::span<const SessionClient> clients,
                                   const LinkModel& link,
                                   SessionObserver* observer = nullptr) const;

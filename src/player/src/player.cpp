@@ -39,9 +39,14 @@ PlayerSimulator::PlayerSimulator(media::VideoManifest manifest, PlayerConfig con
 
 PlaybackResult PlayerSimulator::run_on(
     const LinkModel& link, AbrPolicy& policy, const trace::SessionTraces& session,
-    const sensors::SensorFaultInjector* sensor_faults,
-    SessionObserver* observer) const {
-  const SessionClient client{&manifest_, &policy, &session, 0.0, sensor_faults};
+    const sensors::SensorFaultInjector* sensor_faults, SessionObserver* observer,
+    const sensors::VibrationTrack* vibration) const {
+  SessionClient client;
+  client.manifest = &manifest_;
+  client.policy = &policy;
+  client.context = &session;
+  client.sensor_faults = sensor_faults;
+  client.vibration_track = vibration;
   const SessionEngine engine(SessionEngineConfig{.player = config_});
   auto results = engine.run(std::span<const SessionClient>(&client, 1), link,
                             observer);
@@ -50,9 +55,10 @@ PlaybackResult PlayerSimulator::run_on(
 
 PlaybackResult PlayerSimulator::run(AbrPolicy& policy,
                                     const trace::SessionTraces& session,
-                                    SessionObserver* observer) const {
+                                    SessionObserver* observer,
+                                    const sensors::VibrationTrack* vibration) const {
   return run_on(SoloLinkModel(session.throughput_mbps), policy, session,
-                nullptr, observer);
+                nullptr, observer, vibration);
 }
 
 double retry_backoff_s(const ResilienceConfig& config, std::uint64_t fault_seed,
@@ -72,40 +78,47 @@ double retry_backoff_s(const ResilienceConfig& config, std::uint64_t fault_seed,
 PlaybackResult PlayerSimulator::run(AbrPolicy& policy,
                                     const trace::SessionTraces& session,
                                     const net::FaultInjector& faults,
-                                    SessionObserver* observer) const {
+                                    SessionObserver* observer,
+                                    const sensors::VibrationTrack* vibration) const {
   // A disabled spec is a strict no-op pass-through: delegate to the plain
   // solo link so results stay bit-identical to the fault-free overload.
-  if (!faults.active()) return run(policy, session, observer);
-  return run_on(FaultLinkModel(faults), policy, session, nullptr, observer);
+  if (!faults.active()) return run(policy, session, observer, vibration);
+  return run_on(FaultLinkModel(faults), policy, session, nullptr, observer,
+                vibration);
 }
 
 PlaybackResult PlayerSimulator::run(AbrPolicy& policy,
                                     const trace::SessionTraces& session,
                                     const sensors::SensorFaultInjector& sensor_faults,
-                                    SessionObserver* observer) const {
+                                    SessionObserver* observer,
+                                    const sensors::VibrationTrack* vibration) const {
   return run_on(SoloLinkModel(session.throughput_mbps), policy, session,
-                &sensor_faults, observer);
+                &sensor_faults, observer, vibration);
 }
 
 PlaybackResult PlayerSimulator::run(AbrPolicy& policy,
                                     const trace::SessionTraces& session,
                                     std::span<const net::SegmentSource> sources,
-                                    SessionObserver* observer) const {
+                                    SessionObserver* observer,
+                                    const sensors::VibrationTrack* vibration) const {
   const CdnLinkModel link(sources);
   // A single trivial source is a strict no-op pass-through: delegate to the
   // plain solo link so results stay bit-identical to the fault-free overload.
-  if (!link.unreliable()) return run(policy, session, observer);
-  return run_on(link, policy, session, nullptr, observer);
+  if (!link.unreliable()) return run(policy, session, observer, vibration);
+  return run_on(link, policy, session, nullptr, observer, vibration);
 }
 
 PlaybackResult PlayerSimulator::run(AbrPolicy& policy,
                                     const trace::SessionTraces& session,
                                     const net::FaultInjector& faults,
                                     const sensors::SensorFaultInjector& sensor_faults,
-                                    SessionObserver* observer) const {
-  if (!faults.active()) return run(policy, session, sensor_faults, observer);
+                                    SessionObserver* observer,
+                                    const sensors::VibrationTrack* vibration) const {
+  if (!faults.active()) {
+    return run(policy, session, sensor_faults, observer, vibration);
+  }
   return run_on(FaultLinkModel(faults), policy, session, &sensor_faults,
-                observer);
+                observer, vibration);
 }
 
 }  // namespace eacs::player

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <ostream>
 #include <queue>
@@ -157,6 +158,9 @@ std::string format_double(double value) {
 /// cellular fleet path, which used to carry three divergent inline setups.
 struct SessionRuntime {
   net::HarmonicMeanEstimator bandwidth;
+  /// The run's own vibration track, built only when the client brings no
+  /// shared one (SessionClient::vibration_track).
+  std::unique_ptr<const sensors::VibrationTrack> owned_track;
   VibrationClock vibration;
   std::optional<PerceivedContext> perceived;  ///< active sensor faults only
   /// Stateful signal lookup (engaged unless reference_mode). Bit-identical
@@ -166,7 +170,12 @@ struct SessionRuntime {
   SessionRuntime(const SessionClient& client, const PlayerConfig& config,
                  bool reference_mode)
       : bandwidth(config.bandwidth_window),
-        vibration(client.context->accel, config.vibration) {
+        owned_track(client.vibration_track != nullptr
+                        ? nullptr
+                        : std::make_unique<const sensors::VibrationTrack>(
+                              client.context->accel, config.vibration)),
+        vibration(client.vibration_track != nullptr ? *client.vibration_track
+                                                    : *owned_track) {
     if (client.sensor_faults != nullptr && client.sensor_faults->active()) {
       perceived.emplace(*client.sensor_faults, config);
     }
@@ -445,6 +454,13 @@ std::vector<PlaybackResult> SessionEngine::run(
     if (client.manifest == nullptr || client.policy == nullptr ||
         client.context == nullptr) {
       throw std::invalid_argument("SessionEngine: null client fields");
+    }
+    const sensors::VibrationTrack* track = client.vibration_track;
+    if (track != nullptr && (!track->built_from(client.context->accel) ||
+                             track->config() != config_.player.vibration)) {
+      throw std::invalid_argument(
+          "SessionEngine: vibration track not built from this client's accel "
+          "under the engine's VibrationConfig");
     }
   }
   const auto cells = link.cells();

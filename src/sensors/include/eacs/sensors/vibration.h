@@ -12,8 +12,10 @@
 // A quiet room yields v close to 0 (sensor noise only); a moving vehicle
 // yields v of several m/s^2, matching Table V's 2.46..6.83 averages.
 
+#include <cmath>
 #include <cstddef>
 #include <span>
+#include <vector>
 
 #include "eacs/sensors/accel.h"
 #include "eacs/util/filters.h"
@@ -41,6 +43,8 @@ struct VibrationConfig {
     const double n = window_s * sample_rate_hz;
     return n < 1.0 ? 1 : static_cast<std::size_t>(n);
   }
+
+  bool operator==(const VibrationConfig&) const = default;
 };
 
 /// Streaming vibration-level estimator.
@@ -85,6 +89,58 @@ class VibrationEstimator {
   std::size_t rejected_samples_ = 0;
   double last_valid_t_s_ = 0.0;
   bool have_valid_ = false;
+};
+
+/// The true vibration series of one accelerometer stream, computed in one
+/// pass and then only read.
+///
+/// `level_after(n)` is the level a fresh `VibrationEstimator(config)` holds
+/// after update() on the first n samples: 0 for n == 0, and a rejected
+/// (non-finite) sample repeats the previous level. Replays read the series
+/// through `advance()`, a cursor over the sample timestamps, instead of
+/// re-running the estimator, so every replay of a session and its optimal
+/// plan share one estimator pass.
+///
+/// The samples are unowned: the track remembers the span it was built from
+/// (see built_from()) and must not outlive it.
+class VibrationTrack {
+ public:
+  /// Throws std::invalid_argument on a config VibrationEstimator rejects.
+  explicit VibrationTrack(std::span<const AccelSample> accel = {},
+                          VibrationConfig config = {});
+
+  /// Number of samples the track covers.
+  std::size_t size() const noexcept { return accel_.size(); }
+
+  /// Level after the first `n` samples, n in [0, size()].
+  double level_after(std::size_t n) const noexcept {
+    return std::sqrt(mean_squares_[n]);
+  }
+
+  const VibrationConfig& config() const noexcept { return config_; }
+
+  /// True if the track was built from exactly this span (same storage and
+  /// length), not merely from equal samples.
+  bool built_from(std::span<const AccelSample> accel) const noexcept {
+    return accel.data() == accel_.data() && accel.size() == accel_.size();
+  }
+
+  /// Cursor step: the sample count at which the streaming walk
+  ///
+  ///   while (n < size() && sample[n].t_s <= t_s) ++n;
+  ///
+  /// stops when started from `n = cursor`, NaN and decreasing timestamps
+  /// included. Inside the leading run of sorted, NaN-free timestamps it
+  /// gallops; after that run it walks sample by sample.
+  std::size_t advance(std::size_t cursor, double t_s) const noexcept;
+
+ private:
+  std::span<const AccelSample> accel_;
+  VibrationConfig config_;
+  /// The RMS window's mean square after each prefix (size() + 1 entries);
+  /// a level is its square root, taken only when read.
+  std::vector<double> mean_squares_;
+  std::size_t sorted_prefix_ = 0; ///< leading sorted, NaN-free timestamps
 };
 
 /// Batch helper: vibration level over the trailing window of a whole trace.

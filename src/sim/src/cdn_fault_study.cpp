@@ -105,11 +105,14 @@ CdnFaultStudyResult run_cdn_fault_study(const CdnFaultStudyConfig& config) {
   const auto sessions = trace::build_all_sessions(config.evaluation.session_options);
   std::vector<media::VideoManifest> manifests;
   std::vector<player::PlayerSimulator> simulators;
+  std::vector<sensors::VibrationTrack> tracks;
   manifests.reserve(sessions.size());
   simulators.reserve(sessions.size());
+  tracks.reserve(sessions.size());
   for (const auto& session : sessions) {
     manifests.push_back(evaluation.manifest_for(session.spec));
     simulators.emplace_back(manifests.back(), player_config);
+    tracks.emplace_back(session.accel, player_config.vibration);
   }
 
   struct UnitResult {
@@ -130,7 +133,7 @@ CdnFaultStudyResult run_cdn_fault_study(const CdnFaultStudyConfig& config) {
     UnitResult unit;
     player::PlaybackResult playback;
     if (count == 0) {
-      playback = simulators[s].run(bba, session);
+      playback = simulators[s].run(bba, session, nullptr, &tracks[s]);
     } else {
       std::vector<net::SegmentSource> sources;
       sources.reserve(count);
@@ -149,8 +152,9 @@ CdnFaultStudyResult run_cdn_fault_study(const CdnFaultStudyConfig& config) {
         edge.base_rtt_s = static_cast<double>(k) * config.edge_rtt_step_s;
         sources.emplace_back(session.throughput_mbps, edge, &session.signal_dbm);
       }
-      playback = simulators[s].run(
-          bba, session, std::span<const net::SegmentSource>(sources));
+      playback = simulators[s].run(bba, session,
+                                   std::span<const net::SegmentSource>(sources),
+                                   nullptr, &tracks[s]);
     }
     unit.metrics = compute_metrics(bba.name(), session.spec.id, playback,
                                    manifests[s], qoe_model, power_model);

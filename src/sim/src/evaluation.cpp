@@ -139,12 +139,16 @@ EvaluationResult Evaluation::run(
   const power::PowerModel& power_model = objective.power_model();
 
   // One unit of work per session: everything a unit touches (manifest,
-  // simulator, policies, optimal plan) is built inside it from the session
-  // alone, so units are pure in their index and can run on any worker.
+  // simulator, vibration track, policies, optimal plan) is built inside it
+  // from the session alone, so units are pure in their index and can run on
+  // any worker. The track is the session's one estimator pass, shared by the
+  // optimal planner and every replay.
   const auto run_session = [&](std::size_t s) {
     const auto& session = sessions[s];
     const media::VideoManifest manifest = manifest_for(session.spec);
     const player::PlayerSimulator simulator(manifest, config_.player);
+    const sensors::VibrationTrack vibration(session.accel,
+                                            config_.player.vibration);
 
     // Fresh policy instances per session; the optimal plan is per-session.
     abr::FixedBitrate youtube;
@@ -156,7 +160,8 @@ EvaluationResult Evaluation::run(
          .cache = config_.online_cache ? std::make_shared<core::DecisionCache>(
                                              *config_.online_cache)
                                        : nullptr});
-    const auto tasks = core::build_task_environments(manifest, session);
+    const auto tasks =
+        core::build_task_environments(manifest, session, vibration);
     core::OptimalPlanner planner(objective);
     core::PlannedPolicy optimal(planner.plan(tasks));
 
@@ -168,7 +173,8 @@ EvaluationResult Evaluation::run(
     std::vector<SessionMetrics> rows;
     rows.reserve(policies.size());
     for (player::AbrPolicy* policy : policies) {
-      const auto playback = simulator.run(*policy, session);
+      const auto playback =
+          simulator.run(*policy, session, nullptr, &vibration);
       rows.push_back(compute_metrics(policy->name(), session.spec.id, playback,
                                      manifest, qoe_model, power_model));
     }

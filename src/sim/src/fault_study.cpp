@@ -38,20 +38,24 @@ FaultStudyResult run_fault_study(const FaultStudyConfig& config) {
   const qoe::QoeModel& qoe_model = objective.qoe_model();
   const power::PowerModel& power_model = objective.power_model();
 
-  // Sessions, manifests, simulators and optimal plans are built once and
-  // shared across the whole grid.
+  // Sessions, manifests, simulators, vibration tracks and optimal plans are
+  // built once and shared across the whole grid.
   const auto sessions = trace::build_all_sessions(config.evaluation.session_options);
   std::vector<media::VideoManifest> manifests;
   std::vector<player::PlayerSimulator> simulators;
+  std::vector<sensors::VibrationTrack> tracks;
   std::vector<core::OptimalPlan> plans;
   manifests.reserve(sessions.size());
   simulators.reserve(sessions.size());
+  tracks.reserve(sessions.size());
   plans.reserve(sessions.size());
   for (const auto& session : sessions) {
     manifests.push_back(evaluation.manifest_for(session.spec));
     simulators.emplace_back(manifests.back(), config.evaluation.player);
+    tracks.emplace_back(session.accel, config.evaluation.player.vibration);
     core::OptimalPlanner planner(objective);
-    plans.push_back(planner.plan(core::build_task_environments(manifests.back(), session)));
+    plans.push_back(planner.plan(
+        core::build_task_environments(manifests.back(), session, tracks.back())));
   }
 
   // One unit of work: replay every policy over one session (optionally
@@ -72,9 +76,10 @@ FaultStudyResult run_fault_study(const FaultStudyConfig& config) {
     std::vector<SessionMetrics> metrics;
     metrics.reserve(policies.size());
     for (player::AbrPolicy* policy : policies) {
-      const auto playback = faults != nullptr
-                                ? simulators[s].run(*policy, session, *faults)
-                                : simulators[s].run(*policy, session);
+      const auto playback =
+          faults != nullptr
+              ? simulators[s].run(*policy, session, *faults, nullptr, &tracks[s])
+              : simulators[s].run(*policy, session, nullptr, &tracks[s]);
       metrics.push_back(compute_metrics(policy->name(), session.spec.id, playback,
                                         manifests[s], qoe_model, power_model));
     }

@@ -127,13 +127,16 @@ SensorFaultStudyResult run_sensor_fault_study(
   const auto sessions = trace::build_all_sessions(config.evaluation.session_options);
   std::vector<media::VideoManifest> manifests;
   std::vector<player::PlayerSimulator> simulators;
+  std::vector<sensors::VibrationTrack> tracks;  // true vibration, per session
   std::vector<std::vector<sensors::SignalSample>> signal_streams;
   manifests.reserve(sessions.size());
   simulators.reserve(sessions.size());
+  tracks.reserve(sessions.size());
   signal_streams.reserve(sessions.size());
   for (const auto& session : sessions) {
     manifests.push_back(evaluation.manifest_for(session.spec));
     simulators.emplace_back(manifests.back(), config.evaluation.player);
+    tracks.emplace_back(session.accel, config.evaluation.player.vibration);
     signal_streams.push_back(trace::signal_samples(session.signal_dbm));
   }
 
@@ -151,9 +154,10 @@ SensorFaultStudyResult run_sensor_fault_study(
     core::OnlineBitrateSelector ours(
         objective, {.startup_level = config.evaluation.online_startup_level,
                     .cache = nullptr});
-    const auto playback = faults != nullptr
-                              ? simulators[s].run(ours, session, *faults)
-                              : simulators[s].run(ours, session);
+    const auto playback =
+        faults != nullptr
+            ? simulators[s].run(ours, session, *faults, nullptr, &tracks[s])
+            : simulators[s].run(ours, session, nullptr, &tracks[s]);
     UnitResult unit;
     unit.metrics = compute_metrics(ours.name(), session.spec.id, playback,
                                    manifests[s], qoe_model, power_model);
@@ -186,7 +190,8 @@ SensorFaultStudyResult run_sensor_fault_study(
       util::parallel_map(jobs, n_sessions, [&](std::size_t s) {
         const auto& session = sessions[s];
         abr::Bba bba(5.0, config.evaluation.player.buffer_threshold_s);
-        const auto playback = simulators[s].run(bba, session);
+        const auto playback =
+            simulators[s].run(bba, session, nullptr, &tracks[s]);
         return compute_metrics(bba.name(), session.spec.id, playback,
                                manifests[s], qoe_model, power_model);
       });

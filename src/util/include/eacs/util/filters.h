@@ -5,7 +5,9 @@
 // accelerometer magnitudes with a single-pole high-pass filter and then takes
 // a windowed RMS; the bandwidth path uses an EMA smoother for diagnostics.
 
+#include <cmath>
 #include <cstddef>
+#include <stdexcept>
 #include <vector>
 
 namespace eacs {
@@ -34,9 +36,31 @@ class EmaFilter {
 class HighPassFilter {
  public:
   /// `cutoff_hz` must be > 0 and < sample_rate_hz / 2.
-  HighPassFilter(double cutoff_hz, double sample_rate_hz);
+  HighPassFilter(double cutoff_hz, double sample_rate_hz) {
+    if (cutoff_hz <= 0.0 || sample_rate_hz <= 0.0 ||
+        cutoff_hz >= sample_rate_hz / 2.0) {
+      throw std::invalid_argument("HighPassFilter: invalid cutoff/sample rate");
+    }
+    constexpr double kPi = 3.14159265358979323846;
+    const double rc = 1.0 / (2.0 * kPi * cutoff_hz);
+    const double dt = 1.0 / sample_rate_hz;
+    r_ = rc / (rc + dt);
+  }
 
-  double update(double x) noexcept;
+  double update(double x) noexcept {
+    if (!primed_) {
+      // Start with zero output so a constant input (gravity) is rejected
+      // from the first sample instead of producing a large transient.
+      prev_input_ = x;
+      prev_output_ = 0.0;
+      primed_ = true;
+      return 0.0;
+    }
+    const double y = r_ * (prev_output_ + x - prev_input_);
+    prev_input_ = x;
+    prev_output_ = y;
+    return y;
+  }
   void reset() noexcept;
 
  private:
@@ -52,10 +76,34 @@ class HighPassFilter {
 /// Fixed-size moving RMS over the last `window` samples.
 class MovingRms {
  public:
-  explicit MovingRms(std::size_t window);
+  explicit MovingRms(std::size_t window) : window_(window), storage_(window, 0.0) {
+    if (window == 0) throw std::invalid_argument("MovingRms: window must be > 0");
+  }
 
-  double update(double x);
-  double value() const noexcept;
+  /// Adds one sample: update() without computing the RMS.
+  void push(double x) noexcept {
+    const double squared = x * x;
+    if (count_ < window_) {
+      storage_[count_] = squared;
+      sum_squares_ += squared;
+      ++count_;
+    } else {
+      sum_squares_ += squared - storage_[head_];
+      storage_[head_] = squared;
+      if (++head_ == window_) head_ = 0;
+    }
+  }
+  double update(double x) noexcept {
+    push(x);
+    return value();
+  }
+  /// Mean of the windowed squares; value() is exactly its square root.
+  double mean_square() const noexcept {
+    if (count_ == 0) return 0.0;
+    // Guard against tiny negative drift from floating-point cancellation.
+    return sum_squares_ > 0.0 ? sum_squares_ / static_cast<double>(count_) : 0.0;
+  }
+  double value() const noexcept { return std::sqrt(mean_square()); }
   std::size_t count() const noexcept { return count_; }
   void reset() noexcept;
 

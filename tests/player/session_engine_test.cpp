@@ -4,12 +4,15 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <fstream>
 #include <sstream>
 
 #include "eacs/abr/bba.h"
 #include "eacs/abr/festive.h"
 #include "eacs/abr/fixed.h"
+#include "eacs/core/online.h"
+#include "eacs/core/optimal.h"
 #include "eacs/net/fault_injector.h"
 #include "eacs/player/multi_client.h"
 #include "eacs/player/player.h"
@@ -20,6 +23,7 @@ namespace {
 
 using eacs::testing::make_manifest;
 using eacs::testing::make_session;
+using eacs::testing::make_step_session;
 
 net::FaultSpec outage_spec() {
   net::FaultSpec spec;
@@ -339,6 +343,129 @@ TEST(SessionEventTest, ToStringIsStable) {
   EXPECT_STREQ(to_string(SessionEventType::kAttemptDeadline), "attempt_deadline");
   EXPECT_STREQ(to_string(SessionEventType::kFaultTransition), "fault_transition");
   EXPECT_STREQ(to_string(SessionEventType::kSessionEnd), "session_end");
+}
+
+// --- shared vibration tracks -------------------------------------------------
+
+/// Every field of a result, doubles as %a, so equal dumps mean equal bits.
+std::string hex_dump(const PlaybackResult& r) {
+  std::ostringstream out;
+  const auto hex = [&out](double x) {
+    char buffer[40];
+    std::snprintf(buffer, sizeof buffer, "%a ", x);
+    out << buffer;
+  };
+  hex(r.startup_delay_s);
+  hex(r.total_rebuffer_s);
+  hex(r.session_end_s);
+  hex(r.total_wasted_mb);
+  hex(r.total_backoff_s);
+  out << r.rebuffer_events << ' ' << r.switch_count << ' ' << r.total_retries << ' '
+      << r.abandoned_segments << ' ' << r.total_hedges << ' ' << r.total_failovers
+      << ' ' << r.breaker_transitions << ' ' << r.cell_handoffs << '\n';
+  for (const TaskRecord& t : r.tasks) {
+    out << t.segment_index << ' ' << t.level << ' ' << t.startup << ' ' << t.retries
+        << ' ' << t.abandoned << ' ' << t.source << ' ' << t.hedges << ' ';
+    for (const double x : {t.bitrate_mbps, t.size_mb, t.duration_s, t.download_start_s,
+                           t.download_end_s, t.throughput_mbps, t.signal_dbm,
+                           t.vibration, t.perceived_vibration, t.buffer_before_s,
+                           t.rebuffer_s, t.wasted_mb, t.wasted_download_s,
+                           t.wasted_signal_dbm, t.backoff_s}) {
+      hex(x);
+    }
+    out << '\n';
+  }
+  return out.str();
+}
+
+/// Result dump plus timeline CSV of one replay.
+std::string replay_dump(
+    const std::function<PlaybackResult(SessionObserver*)>& replay) {
+  SessionTimeline timeline;
+  const PlaybackResult result = replay(&timeline);
+  std::ostringstream csv;
+  timeline.write_csv(csv);
+  return hex_dump(result) + csv.str();
+}
+
+TEST(VibrationTrackEngineTest, SharedTrackIsBitIdenticalToAnOwnedOne) {
+  // The five evaluation algorithms over one vibrating session, each replayed
+  // with the engine building its own track and with one shared track; plus
+  // the fault-injected and sensor-fault overloads.
+  const auto manifest = make_manifest(90.0, 2.0);
+  const auto session = make_step_session(90.0, 9.0, 2.0, 40.0, -100.0, 4.5);
+  PlayerConfig config;
+  config.vibration.window_s = 3.0;
+  const PlayerSimulator simulator(manifest, config);
+  const sensors::VibrationTrack track(session.accel, config.vibration);
+
+  const core::Objective objective{qoe::QoeModel{}, power::PowerModel{}};
+  abr::FixedBitrate youtube;
+  abr::Festive festive;
+  abr::Bba bba(5.0, config.buffer_threshold_s);
+  core::OnlineBitrateSelector ours(objective);
+  core::PlannedPolicy optimal(core::OptimalPlanner(objective).plan(
+      core::build_task_environments(manifest, session, track)));
+  for (AbrPolicy* policy :
+       std::initializer_list<AbrPolicy*>{&youtube, &festive, &bba, &ours, &optimal}) {
+    SCOPED_TRACE(policy->name());
+    const std::string owned = replay_dump([&](SessionObserver* observer) {
+      return simulator.run(*policy, session, observer);
+    });
+    const std::string shared = replay_dump([&](SessionObserver* observer) {
+      return simulator.run(*policy, session, observer, &track);
+    });
+    EXPECT_EQ(owned, shared);
+  }
+
+  const net::FaultInjector faults(session.throughput_mbps, outage_spec());
+  sensors::SensorFaultSpec sensor_spec;
+  sensor_spec.accel_episode_rate_per_min = 4.0;
+  const sensors::SensorFaultInjector sensor_faults(
+      session.accel, trace::signal_samples(session.signal_dbm), sensor_spec);
+  EXPECT_EQ(replay_dump([&](SessionObserver* observer) {
+              return simulator.run(ours, session, faults, sensor_faults, observer);
+            }),
+            replay_dump([&](SessionObserver* observer) {
+              return simulator.run(ours, session, faults, sensor_faults, observer,
+                                   &track);
+            }));
+}
+
+TEST(VibrationTrackEngineTest, ForeignTrackThrows) {
+  const auto manifest = make_manifest(20.0, 2.0);
+  const auto session = make_session(20.0, 10.0, -90.0, 3.0);
+  const auto twin = session;  // equal samples, different storage
+  const PlayerSimulator simulator(manifest);
+  abr::Bba bba;
+
+  const sensors::VibrationTrack other_session(twin.accel);
+  EXPECT_THROW(simulator.run(bba, session, nullptr, &other_session),
+               std::invalid_argument);
+  sensors::VibrationConfig other_config;
+  other_config.window_s = 2.0;
+  const sensors::VibrationTrack other_estimator(session.accel, other_config);
+  EXPECT_THROW(simulator.run(bba, session, nullptr, &other_estimator),
+               std::invalid_argument);
+  const net::FaultInjector faults(session.throughput_mbps, outage_spec());
+  EXPECT_THROW(simulator.run(bba, session, faults, nullptr, &other_estimator),
+               std::invalid_argument);
+
+  // Stepped links check every client's track the same way.
+  const SharedLinkModel link(session.throughput_mbps);
+  const SessionEngine engine{SessionEngineConfig{}};
+  SessionClient client;
+  client.manifest = &manifest;
+  client.policy = &bba;
+  client.context = &session;
+  client.vibration_track = &other_session;
+  EXPECT_THROW(engine.run(std::span<const SessionClient>(&client, 1), link),
+               std::invalid_argument);
+
+  const sensors::VibrationTrack own(session.accel);
+  EXPECT_NO_THROW(simulator.run(bba, session, nullptr, &own));
+  client.vibration_track = &own;
+  EXPECT_NO_THROW(engine.run(std::span<const SessionClient>(&client, 1), link));
 }
 
 }  // namespace

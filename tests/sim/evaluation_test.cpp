@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "eacs/abr/fixed.h"
+#include "eacs/core/optimal.h"
 #include "../test_helpers.h"
 
 namespace eacs::sim {
@@ -172,6 +176,54 @@ TEST(EvaluationTest, InvalidConfigThrows) {
   EvaluationConfig config;
   config.segment_duration_s = 0.0;
   EXPECT_THROW(Evaluation{config}, std::invalid_argument);
+}
+
+TEST(EvaluationTest, OptimalPlansOnTheVibrationSeriesItIsReplayedOn) {
+  // With a non-default estimator the Optimal plan must be built from the
+  // same vibration series its replay is priced on: the track under
+  // config.player.vibration, not a default-config one.
+  EvaluationConfig config;
+  config.player.vibration.window_s = 2.0;
+  const Evaluation evaluation(config);
+  // Table V trace 4: its window-2 and default-window series lead the planner
+  // to different plans.
+  const std::vector<trace::SessionTraces> sessions = {
+      trace::build_session(media::evaluation_sessions()[3])};
+  const auto result = evaluation.run(sessions);
+  const core::Objective objective = make_objective(config);
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+
+  bool plans_depend_on_the_estimator = false;
+  for (const auto& session : sessions) {
+    const auto manifest = evaluation.manifest_for(session.spec);
+    const sensors::VibrationTrack track(session.accel, config.player.vibration);
+    const core::OptimalPlanner planner(objective);
+    const core::OptimalPlan plan =
+        planner.plan(core::build_task_environments(manifest, session, track));
+    plans_depend_on_the_estimator |=
+        plan.levels !=
+        planner.plan(core::build_task_environments(manifest, session)).levels;
+
+    core::PlannedPolicy optimal(plan);
+    const auto playback =
+        player::PlayerSimulator(manifest, config.player).run(optimal, session);
+    const SessionMetrics expected =
+        compute_metrics(optimal.name(), session.spec.id, playback, manifest,
+                        objective.qoe_model(), objective.power_model());
+    const SessionMetrics& row = result.row("Optimal", session.spec.id);
+    EXPECT_EQ(bits(row.total_energy_j), bits(expected.total_energy_j));
+    EXPECT_EQ(bits(row.base_energy_j), bits(expected.base_energy_j));
+    EXPECT_EQ(bits(row.extra_energy_j), bits(expected.extra_energy_j));
+    EXPECT_EQ(bits(row.mean_qoe), bits(expected.mean_qoe));
+    EXPECT_EQ(bits(row.mean_bitrate_mbps), bits(expected.mean_bitrate_mbps));
+    EXPECT_EQ(bits(row.downloaded_mb), bits(expected.downloaded_mb));
+    EXPECT_EQ(bits(row.rebuffer_s), bits(expected.rebuffer_s));
+    EXPECT_EQ(bits(row.startup_delay_s), bits(expected.startup_delay_s));
+    EXPECT_EQ(row.switch_count, expected.switch_count);
+    EXPECT_EQ(row.rebuffer_events, expected.rebuffer_events);
+  }
+  // Otherwise this test could not tell the two series apart.
+  EXPECT_TRUE(plans_depend_on_the_estimator);
 }
 
 }  // namespace
