@@ -187,14 +187,17 @@ CliOptions parse_cli(int argc, char** argv) {
   return options;
 }
 
+/// Builds one policy by name. The buffer-driven baselines take the player's
+/// buffer threshold as their cushion/target, exactly as Evaluation does.
 std::unique_ptr<player::AbrPolicy> make_policy(const std::string& name,
                                                const core::Objective& objective,
                                                const media::VideoManifest& manifest,
-                                               const trace::SessionTraces& session) {
+                                               const trace::SessionTraces& session,
+                                               double buffer_threshold_s) {
   if (name == "youtube") return std::make_unique<abr::FixedBitrate>();
   if (name == "festive") return std::make_unique<abr::Festive>();
-  if (name == "bba") return std::make_unique<abr::Bba>(5.0, 30.0);
-  if (name == "bola") return std::make_unique<abr::Bola>(5.0, 30.0);
+  if (name == "bba") return std::make_unique<abr::Bba>(5.0, buffer_threshold_s);
+  if (name == "bola") return std::make_unique<abr::Bola>(5.0, buffer_threshold_s);
   if (name == "mpc") return std::make_unique<abr::Mpc>();
   if (name == "ours") {
     return std::make_unique<core::OnlineBitrateSelector>(
@@ -544,7 +547,8 @@ int main(int argc, char** argv) {
   collected.rows = eacs::util::parallel_map(
       sim::ExecutionPolicy{options.jobs}.resolved_jobs(),
       names.size(), [&](std::size_t i) {
-        auto policy = make_policy(names[i], objective, manifest, session);
+        auto policy =
+            make_policy(names[i], objective, manifest, session, options.buffer_s);
         const auto playback = simulator.run(*policy, session);
         return sim::compute_metrics(policy->name(), spec.id, playback, manifest,
                                     qoe_model, power_model);

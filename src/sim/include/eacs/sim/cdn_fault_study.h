@@ -129,7 +129,9 @@ struct CdnFaultStudyResult {
 /// Runs the sweep. Sessions are built once and shared; each (grid point,
 /// session) fault seed derives from config.seed and per-source draws are
 /// decorrelated by source id inside net::SegmentSource, so the whole table
-/// is reproducible bit-for-bit at any job count.
+/// is reproducible bit-for-bit at any job count. Throws
+/// std::invalid_argument on an empty axis, a zero source count, or a
+/// non-finite or negative intensity.
 CdnFaultStudyResult run_cdn_fault_study(const CdnFaultStudyConfig& config = {});
 
 }  // namespace eacs::sim

@@ -6,9 +6,8 @@
 // sinusoidal profile) and every (session, cell) pair has its own signal
 // trajectory, both derived statelessly from sim::seed_mix — no traces are
 // stored, so memory is O(cells) however long the run and however many
-// sessions attach. Sessions pick a serving cell by signal with a hysteresis
-// margin (a handoff happens only when a neighbour beats the serving cell by
-// `hysteresis_db`), the classic guard against ping-pong handoffs.
+// sessions attach. The fleet path picks each session's serving cell from
+// these signals with a hysteresis margin (DESIGN §12).
 //
 // Every query is a pure function of (config, ids, time): two shards asking
 // about the same cell see identical answers, which is what lets the fleet
@@ -40,7 +39,8 @@ struct CellNetworkConfig {
 /// The procedural network. Cheap to copy; all state is the config.
 class CellNetwork {
  public:
-  /// Throws std::invalid_argument when `num_cells` is zero.
+  /// Throws std::invalid_argument when `num_cells` is zero or the signal
+  /// range is non-finite or inverted (signal_best_dbm < signal_worst_dbm).
   explicit CellNetwork(CellNetworkConfig config);
 
   const CellNetworkConfig& config() const noexcept { return config_; }
@@ -61,14 +61,6 @@ class CellNetwork {
   /// Best cell restricted to [first_cell, first_cell + count) — the region
   /// variant the sharded fleet path uses so mobility never crosses a shard.
   std::size_t best_cell_in(int session_id, double t_s, std::size_t first_cell,
-                           std::size_t count) const noexcept;
-
-  /// Hysteresis handoff rule: returns the cell the session should be served
-  /// by, given it is currently on `current`. Switches to the best in-range
-  /// cell only when that cell's signal beats `current` by more than
-  /// `hysteresis_db`; otherwise sticks (anti-ping-pong).
-  std::size_t serving_cell(int session_id, std::size_t current, double t_s,
-                           double hysteresis_db, std::size_t first_cell,
                            std::size_t count) const noexcept;
 
  private:

@@ -67,7 +67,8 @@ struct FaultStudyResult {
 
 /// Runs the sweep. Sessions are built once and shared across the grid; the
 /// fault seed for (grid point, session) is derived from config.seed so the
-/// whole table is reproducible bit-for-bit.
+/// whole table is reproducible bit-for-bit. Throws std::invalid_argument on
+/// an empty axis or a non-finite or negative axis value.
 FaultStudyResult run_fault_study(const FaultStudyConfig& config = {});
 
 }  // namespace eacs::sim

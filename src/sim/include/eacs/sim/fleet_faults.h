@@ -25,8 +25,9 @@
 // the smallest capacity factor applies, the most negative signal offset
 // applies, the largest surge multiplier applies.
 //
-// The empty spec is a certified no-op: run_fleet never calls into this layer
-// when `spec.empty()`, so clean-run results are bitwise unchanged.
+// The empty spec is a certified no-op: the empty model answers every query
+// with the neutral state, which leaves run_fleet's results bitwise unchanged
+// (DESIGN §14), and its cell query is a single compare.
 
 #include <cstddef>
 #include <cstdint>
@@ -123,7 +124,8 @@ struct FleetFaultSpec {
 
 /// The fault state of one cell at one instant: the answers of cell_dead,
 /// capacity_factor and signal_offset_db from a single lookup. The default
-/// value is the healthy (neutral) state.
+/// value is the healthy (neutral) state. Its offset is +0.0, not -0.0:
+/// x + 0.0 == x bitwise for every signal the CellNetwork can return.
 struct CellFaultState {
   bool dead = false;
   double capacity_factor = 1.0;
@@ -225,7 +227,8 @@ class FleetFaultModel {
   // Per-cell span table, flattened: cell c owns entries
   // [span_begin_[c], span_begin_[c + 1]) of span_t_ / span_state_, sorted by
   // edge time. span_state_[i] holds from span_t_[i] up to the next edge;
-  // before a cell's first edge the cell is healthy.
+  // before a cell's first edge the cell is healthy. All three stay empty
+  // when no cell episode exists.
   std::vector<std::size_t> span_begin_;
   std::vector<double> span_t_;
   std::vector<CellFaultState> span_state_;

@@ -92,6 +92,12 @@ CdnFaultStudyResult run_cdn_fault_study(const CdnFaultStudyConfig& config) {
       throw std::invalid_argument("run_cdn_fault_study: zero source count");
     }
   }
+  for (const double intensity : config.intensities) {
+    if (!(std::isfinite(intensity) && intensity >= 0.0)) {
+      throw std::invalid_argument(
+          "run_cdn_fault_study: intensities must be finite and >= 0");
+    }
+  }
   const auto families =
       config.families.empty() ? all_cdn_fault_families() : config.families;
 

@@ -17,6 +17,14 @@ CellNetwork::CellNetwork(CellNetworkConfig config) : config_(config) {
   if (config_.num_cells == 0) {
     throw std::invalid_argument("CellNetwork: num_cells must be > 0");
   }
+  // A finite, ordered range keeps every signal_dbm off -0.0, so the fleet's
+  // neutral fault offset is exact: signal + 0.0 == signal (DESIGN §14).
+  if (!(std::isfinite(config_.signal_best_dbm) &&
+        std::isfinite(config_.signal_worst_dbm) &&
+        config_.signal_best_dbm >= config_.signal_worst_dbm)) {
+    throw std::invalid_argument(
+        "CellNetwork: signal range must be finite with best >= worst");
+  }
 }
 
 double CellNetwork::capacity_mbps(std::size_t cell, double t_s) const noexcept {
@@ -64,17 +72,6 @@ std::size_t CellNetwork::best_cell_in(int session_id, double t_s,
     }
   }
   return best;
-}
-
-std::size_t CellNetwork::serving_cell(int session_id, std::size_t current,
-                                      double t_s, double hysteresis_db,
-                                      std::size_t first_cell,
-                                      std::size_t count) const noexcept {
-  const std::size_t best = best_cell_in(session_id, t_s, first_cell, count);
-  if (best == current) return current;
-  const double gain = signal_dbm(session_id, best, t_s) -
-                      signal_dbm(session_id, current, t_s);
-  return gain > hysteresis_db ? best : current;
 }
 
 }  // namespace eacs::sim

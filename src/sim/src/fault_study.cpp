@@ -32,6 +32,14 @@ FaultStudyResult run_fault_study(const FaultStudyConfig& config) {
   if (config.outage_rates_per_min.empty() || config.failure_probs.empty()) {
     throw std::invalid_argument("run_fault_study: empty sweep axes");
   }
+  for (const auto* axis : {&config.outage_rates_per_min, &config.failure_probs}) {
+    for (const double value : *axis) {
+      if (!(std::isfinite(value) && value >= 0.0)) {
+        throw std::invalid_argument(
+            "run_fault_study: axis values must be finite and >= 0");
+      }
+    }
+  }
 
   const Evaluation evaluation(config.evaluation);
   const core::Objective objective = make_objective(config.evaluation);

@@ -211,10 +211,9 @@ struct RegionSim {
   const CellNetwork& network;
   const qoe::QoeModel& qoe_model;
   const power::PowerModel& power_model;
-  /// Non-null only when at least one fault episode exists. Every fault code
-  /// path is gated on this pointer, so the empty spec never executes a
-  /// single extra floating-point operation — the clean-run no-op guarantee.
-  const FleetFaultModel* faults;
+  /// Built empty for a clean run, where every query returns the neutral
+  /// state — an exact no-op on every result (DESIGN §14).
+  const FleetFaultModel& faults;
   std::size_t num_regions;
   std::size_t region;
   std::size_t first_cell = 0;
@@ -255,14 +254,13 @@ struct RegionSim {
   RegionSim(const FleetConfig& config_in, const CellNetwork& network_in,
             const qoe::QoeModel& qoe_model_in,
             const power::PowerModel& power_model_in,
-            const FleetFaultModel* faults_in, std::size_t region_in,
+            const FleetFaultModel& faults_in, std::size_t region_in,
             std::size_t num_regions_in)
       : config(config_in),
         network(network_in),
         qoe_model(qoe_model_in),
         power_model(power_model_in),
-        faults(faults_in != nullptr && !faults_in->empty() ? faults_in
-                                                           : nullptr),
+        faults(faults_in),
         num_regions(num_regions_in),
         region(region_in),
         arena(config_in.bandwidth_window) {
@@ -315,14 +313,8 @@ struct RegionSim {
   void seek_arrival(std::size_t s) {
     next_arrival = s;
     if (s >= config.num_sessions) return;
-    if (faults != nullptr && faults->has_surges()) {
-      arrival_t_s = faults->arrival_time(s, config.arrival_rate_per_s);
-      arrival_floor_s = faults->arrival_floor(s, config.arrival_rate_per_s);
-    } else {
-      // Division is monotone: no later session arrives earlier.
-      arrival_t_s = static_cast<double>(s) / config.arrival_rate_per_s;
-      arrival_floor_s = arrival_t_s;
-    }
+    arrival_t_s = faults.arrival_time(s, config.arrival_rate_per_s);
+    arrival_floor_s = faults.arrival_floor(s, config.arrival_rate_per_s);
   }
 
   bool arrivals_pending() const noexcept {
@@ -357,10 +349,10 @@ struct RegionSim {
     return true;
   }
 
-  /// Signal with the fault overlay applied; only called when faults != null.
+  /// Signal with the fault overlay applied.
   double fault_signal(int session_id, std::size_t cell, double t_s) const {
     return network.signal_dbm(session_id, cell, t_s) +
-           faults->signal_offset_db(cell, t_s);
+           faults.signal_offset_db(cell, t_s);
   }
 
   /// Advances playback to `now`: drains the buffer, accrues stalls.
@@ -400,7 +392,7 @@ struct RegionSim {
     scan.best.cell = network.num_cells();
     scan.current.cell = network.num_cells();
     for (std::size_t c = first_cell; c < first_cell + cell_count; ++c) {
-      const CellFaultState state = faults->cell_state(c, now);
+      const CellFaultState state = faults.cell_state(c, now);
       if (state.dead) continue;
       const LiveCell cell{
           c, network.signal_dbm(session_id, c, now) + state.signal_offset_db,
@@ -414,15 +406,17 @@ struct RegionSim {
     return scan;
   }
 
-  /// Fault-aware serving-cell maintenance at a request boundary. Returns
-  /// the live serving cell's faulted view when the request can proceed;
-  /// nullopt when the session backed off (re-enqueued) or was abandoned.
+  /// Serving-cell maintenance at a request boundary — the fleet's one
+  /// serving-cell rule (DESIGN §12). Returns the live serving cell's faulted
+  /// view when the request can proceed; nullopt when the session backed off
+  /// (re-enqueued) or was abandoned.
   std::optional<LiveCell> ensure_live_cell(const Event& event, double now) {
     const std::uint32_t slot = event.slot;
     const RegionScan scan = scan_region(event.session, arena.cell[slot], now);
     if (scan.current.cell != network.num_cells()) {
-      // Healthy serving cell: the hysteresis handoff rule, restricted to
-      // live cells (mirrors CellNetwork::serving_cell).
+      // Healthy serving cell: hand off only when the strongest live cell
+      // beats it by more than the hysteresis margin (anti-ping-pong). A
+      // clean run, with no dead cell, only ever takes this branch.
       arena.retries[slot] = 0;
       if (scan.best.cell != scan.current.cell &&
           scan.best.signal_dbm - scan.current.signal_dbm >
@@ -570,22 +564,11 @@ struct RegionSim {
             continue;
           }
         }
-        // Handoff check at every request boundary (hysteresis rule). With a
-        // fault overlay this also escapes dead cells, backs off, or abandons,
-        // and yields the serving cell's faulted signal and capacity factor.
-        std::optional<LiveCell> serving;
-        if (faults == nullptr) {
-          const std::size_t cell = network.serving_cell(
-              event.session, arena.cell[slot], now,
-              config.handoff_hysteresis_db, first_cell, cell_count);
-          if (cell != arena.cell[slot]) {
-            arena.cell[slot] = cell;
-            ++shard.region.handoffs;
-          }
-        } else {
-          serving = ensure_live_cell(event, now);
-          if (!serving) continue;
-        }
+        // Handoff check at every request boundary (hysteresis rule); under
+        // faults this also escapes dead cells, backs off, or abandons. Yields
+        // the serving cell's faulted signal and capacity factor.
+        const std::optional<LiveCell> serving = ensure_live_cell(event, now);
+        if (!serving) continue;
         std::size_t level = 0;
         if (planner) {
           // The paper's planner: rolling-horizon Eq. 11 DP on the session's
@@ -618,10 +601,7 @@ struct RegionSim {
             snapshot.buffer_s = arena.buffer_s[slot];
             snapshot.bandwidth_mbps = arena.estimate(slot);
             snapshot.vibration = session_vibration(config.seed, event.session);
-            snapshot.signal_dbm =
-                faults == nullptr
-                    ? network.signal_dbm(event.session, arena.cell[slot], now)
-                    : serving->signal_dbm;
+            snapshot.signal_dbm = serving->signal_dbm;
             snapshot.segments_remaining = window;
             if (arena.prev_level[slot] >= 0) {
               snapshot.prev_level =
@@ -673,9 +653,9 @@ struct RegionSim {
         // time (fleet-scale approximation; the rich engine re-shares per
         // step). Brownouts scale the capacity; outages never reach here —
         // ensure_live_cell gates them.
-        const std::size_t local = arena.cell[slot] - first_cell;
-        double capacity = network.capacity_mbps(arena.cell[slot], now);
-        if (faults != nullptr) capacity *= serving->capacity_factor;
+        const std::size_t local = serving->cell - first_cell;
+        const double capacity = network.capacity_mbps(serving->cell, now) *
+                                serving->capacity_factor;
         const double share = std::max(
             capacity / static_cast<double>(cell_active[local] + 1), 1e-6);
         ++cell_active[local];
@@ -710,12 +690,8 @@ struct RegionSim {
       power::TaskEnergyInput task;
       task.size_mb = arena.size_mb[slot];
       task.bitrate_mbps = bitrate;
-      task.signal_dbm =
-          faults == nullptr
-              ? network.signal_dbm(event.session, arena.cell[slot],
-                                   0.5 * (arena.request_s[slot] + now))
-              : fault_signal(event.session, arena.cell[slot],
-                             0.5 * (arena.request_s[slot] + now));
+      task.signal_dbm = fault_signal(event.session, arena.cell[slot],
+                                     0.5 * (arena.request_s[slot] + now));
       task.play_s = arena.playing[slot] != 0
                         ? std::max(0.0, elapsed - arena.seg_rebuffer_s[slot])
                         : 0.0;
@@ -1034,8 +1010,7 @@ FleetMetrics run_fleet_impl(const FleetConfig& config,
   const CellNetwork network(config.network);
   const qoe::QoeModel qoe_model(config.qoe);
   const power::PowerModel power_model(config.power);
-  const FleetFaultModel fault_model(config.faults, network.num_cells());
-  const FleetFaultModel* faults = fault_model.empty() ? nullptr : &fault_model;
+  const FleetFaultModel faults(config.faults, network.num_cells());
 
   if (checkpoint != nullptr) {
     if (checkpoint->config_fingerprint != fleet_config_fingerprint(config)) {
@@ -1071,21 +1046,7 @@ FleetMetrics run_fleet_impl(const FleetConfig& config,
       config.reservoir_capacity, seed_mix(config.seed, kReservoirLane, -5));
   metrics.regions.reserve(shards.size());
   for (const Shard& shard : shards) {
-    metrics.sessions += shard.region.sessions;
-    metrics.events += shard.region.events;
-    metrics.requests += shard.region.requests;
-    metrics.handoffs += shard.region.handoffs;
-    metrics.stall_events += shard.region.stall_events;
-    metrics.peak_live_sessions += shard.region.peak_live_sessions;
-    metrics.escape_handoffs += shard.region.escape_handoffs;
-    metrics.backoff_retries += shard.region.backoff_retries;
-    metrics.abandoned_sessions += shard.region.abandoned_sessions;
-    metrics.policy_sheds += shard.region.policy_sheds;
-    metrics.policy_recoveries += shard.region.policy_recoveries;
-    metrics.shed_decisions += shard.region.shed_decisions;
-    metrics.degraded_time_s += shard.region.degraded_time_s;
-    metrics.wasted_energy_j += shard.region.wasted_energy_j;
-    metrics.planner.merge(shard.region.planner);
+    metrics.merge(shard.region);
     metrics.qoe.merge(shard.qoe);
     metrics.energy_j.merge(shard.energy_j);
     metrics.bitrate_mbps.merge(shard.bitrate_mbps);
@@ -1101,6 +1062,24 @@ FleetMetrics run_fleet_impl(const FleetConfig& config,
 
 }  // namespace
 
+void FleetCounters::merge(const FleetCounters& other) {
+  sessions += other.sessions;
+  events += other.events;
+  requests += other.requests;
+  handoffs += other.handoffs;
+  stall_events += other.stall_events;
+  peak_live_sessions += other.peak_live_sessions;
+  escape_handoffs += other.escape_handoffs;
+  backoff_retries += other.backoff_retries;
+  abandoned_sessions += other.abandoned_sessions;
+  policy_sheds += other.policy_sheds;
+  policy_recoveries += other.policy_recoveries;
+  shed_decisions += other.shed_decisions;
+  degraded_time_s += other.degraded_time_s;
+  wasted_energy_j += other.wasted_energy_j;
+  planner.merge(other.planner);
+}
+
 FleetMetrics run_fleet(const FleetConfig& config) {
   return run_fleet_impl(config, nullptr);
 }
@@ -1114,8 +1093,7 @@ FleetCheckpoint run_fleet_until(const FleetConfig& config, double t_s) {
   const CellNetwork network(config.network);
   const qoe::QoeModel qoe_model(config.qoe);
   const power::PowerModel power_model(config.power);
-  const FleetFaultModel fault_model(config.faults, network.num_cells());
-  const FleetFaultModel* faults = fault_model.empty() ? nullptr : &fault_model;
+  const FleetFaultModel faults(config.faults, network.num_cells());
 
   FleetCheckpoint checkpoint;
   checkpoint.config_fingerprint = fleet_config_fingerprint(config);

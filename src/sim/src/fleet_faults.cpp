@@ -212,6 +212,9 @@ FleetFaultModel::FleetFaultModel(const FleetFaultSpec& spec,
 }
 
 void FleetFaultModel::build_span_index(std::size_t num_cells) {
+  // No cell episode: leave the table empty, so every cell_state query returns
+  // the neutral state at its first compare — what a clean fleet run asks.
+  if (outages_.empty() && brownouts_.empty() && collapses_.empty()) return;
   // One cell-episode per (episode, covered cell), as the state change it
   // applies. Neutral components combine as no-ops: min(factor, 1.0) and
   // min(offset, 0.0) return their first argument for every valid state.

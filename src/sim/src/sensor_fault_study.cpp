@@ -116,6 +116,12 @@ SensorFaultStudyResult run_sensor_fault_study(
   if (config.intensities.empty()) {
     throw std::invalid_argument("run_sensor_fault_study: empty intensity axis");
   }
+  for (const double intensity : config.intensities) {
+    if (!(std::isfinite(intensity) && intensity >= 0.0)) {
+      throw std::invalid_argument(
+          "run_sensor_fault_study: intensities must be finite and >= 0");
+    }
+  }
   const auto scenarios = config.scenarios.empty() ? all_sensor_fault_scenarios()
                                                   : config.scenarios;
 

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace eacs::sim {
@@ -123,6 +124,16 @@ TEST(CdnFaultStudyTest, ConfigValidation) {
   auto zero_sources = small_grid();
   zero_sources.source_counts = {0};
   EXPECT_THROW(run_cdn_fault_study(zero_sources), std::invalid_argument);
+
+  // A negative or non-finite intensity is refused up front, not computed as
+  // a fault-free cell under its label.
+  for (const double bad : {-0.5, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    auto bad_axis = small_grid();
+    bad_axis.intensities = {1.0, bad};
+    EXPECT_THROW(run_cdn_fault_study(bad_axis), std::invalid_argument)
+        << "intensity " << bad;
+  }
 
   const auto result = run_cdn_fault_study(small_grid());
   EXPECT_THROW(result.cell(CdnFaultFamily::kSlowStart, 1.0, 1),

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 
 namespace eacs::sim {
@@ -21,6 +22,19 @@ TEST(FaultStudyTest, EmptyAxesThrow) {
   config = FaultStudyConfig{};
   config.failure_probs.clear();
   EXPECT_THROW(run_fault_study(config), std::invalid_argument);
+  // A negative or non-finite axis value is refused up front, not computed
+  // as a fault-free cell under its label.
+  for (const double bad : {-0.5, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    config = FaultStudyConfig{};
+    config.outage_rates_per_min = {0.0, bad};
+    EXPECT_THROW(run_fault_study(config), std::invalid_argument)
+        << "outage rate " << bad;
+    config = FaultStudyConfig{};
+    config.failure_probs = {0.0, bad};
+    EXPECT_THROW(run_fault_study(config), std::invalid_argument)
+        << "failure prob " << bad;
+  }
 }
 
 TEST(FaultStudyTest, DeterministicInSeed) {

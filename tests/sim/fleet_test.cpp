@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -36,6 +37,28 @@ TEST(CellNetworkTest, ValidatesConfig) {
   CellNetworkConfig config;
   config.num_cells = 0;
   EXPECT_THROW(CellNetwork{config}, std::invalid_argument);
+  // The signal range must be finite and ordered (best >= worst).
+  config = small_network();
+  std::swap(config.signal_best_dbm, config.signal_worst_dbm);
+  EXPECT_THROW(CellNetwork{config}, std::invalid_argument);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    config = small_network();
+    config.signal_best_dbm = bad;
+    EXPECT_THROW(CellNetwork{config}, std::invalid_argument);
+    config = small_network();
+    config.signal_worst_dbm = bad;
+    EXPECT_THROW(CellNetwork{config}, std::invalid_argument);
+  }
+  // A degenerate (equal) range is valid; run_fleet rejects an inverted one.
+  config = small_network();
+  config.signal_best_dbm = config.signal_worst_dbm;
+  EXPECT_NO_THROW(CellNetwork{config});
+  FleetConfig fleet = small_fleet();
+  fleet.network.signal_best_dbm = -90.0;
+  fleet.network.signal_worst_dbm = -80.0;
+  EXPECT_THROW(run_fleet(fleet), std::invalid_argument);
 }
 
 TEST(CellNetworkTest, CapacityIsNonNegativeAndVaries) {
@@ -84,27 +107,6 @@ TEST(CellNetworkTest, BestCellRespectsRangeRestriction) {
       for (std::size_t c = 4; c < 8; ++c) {
         EXPECT_GE(network.signal_dbm(session, restricted, t),
                   network.signal_dbm(session, c, t));
-      }
-    }
-  }
-}
-
-TEST(CellNetworkTest, ServingCellHysteresisBlocksSmallGains) {
-  const CellNetwork network(small_network());
-  for (int session = 0; session < 40; ++session) {
-    for (double t : {5.0, 50.0, 110.0}) {
-      const std::size_t current = network.best_cell(session, 0.0);
-      const std::size_t serving = network.serving_cell(
-          session, current, t, 3.0, 0, network.num_cells());
-      if (serving != current) {
-        // Any switch must clear the hysteresis margin.
-        EXPECT_GT(network.signal_dbm(session, serving, t),
-                  network.signal_dbm(session, current, t) + 3.0);
-      } else {
-        // Sticking is only allowed when no cell clears the margin.
-        const std::size_t best = network.best_cell(session, t);
-        EXPECT_LE(network.signal_dbm(session, best, t),
-                  network.signal_dbm(session, current, t) + 3.0);
       }
     }
   }
@@ -194,6 +196,22 @@ TEST(FleetTest, HandoffsHappen) {
   config.num_sessions = 800;
   const auto metrics = run_fleet(config);
   EXPECT_GT(metrics.handoffs, 0U);
+}
+
+TEST(FleetTest, HandoffHysteresisGatesHandoffs) {
+  // A clean run hands off only when a neighbour beats the serving cell by
+  // more than the hysteresis margin: an unreachable margin pins every
+  // session to the cell it attached to, and a clean run never escapes.
+  FleetConfig config = small_fleet();
+  config.num_sessions = 800;
+  const auto moving = run_fleet(config);
+  EXPECT_GT(moving.handoffs, 0U);
+  EXPECT_EQ(moving.escape_handoffs, 0U);
+  config.handoff_hysteresis_db = 1e9;
+  const auto pinned = run_fleet(config);
+  EXPECT_EQ(pinned.handoffs, 0U);
+  EXPECT_EQ(pinned.escape_handoffs, 0U);
+  EXPECT_EQ(pinned.sessions, config.num_sessions);
 }
 
 TEST(FleetTest, LiveSetStaysBoundedAsFleetGrows) {

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "eacs/core/online.h"
@@ -144,10 +145,57 @@ TEST(SensorFaultStudyTest, StudyGridIsFiniteAndDeterministic) {
   EXPECT_EQ(first.clean_ours.mean_qoe, second.clean_ours.mean_qoe);
 }
 
+TEST(SensorFaultStudyTest, BitIdenticalAcrossJobCounts) {
+  SensorFaultStudyConfig config;
+  config.scenarios = {SensorFaultScenario::kNoiseBurst,
+                      SensorFaultScenario::kCombined};
+  config.intensities = {0.5};
+  config.evaluation.exec.jobs = 1;
+  const auto serial = run_sensor_fault_study(config);
+  for (const std::size_t jobs : {2U, 8U}) {
+    config.evaluation.exec.jobs = jobs;
+    const auto parallel = run_sensor_fault_study(config);
+    SCOPED_TRACE(::testing::Message() << "jobs=" << jobs);
+    ASSERT_EQ(serial.cells.size(), parallel.cells.size());
+    for (std::size_t i = 0; i < serial.cells.size(); ++i) {
+      const auto& a = serial.cells[i];
+      const auto& b = parallel.cells[i];
+      EXPECT_EQ(a.mean_qoe, b.mean_qoe) << "cell " << i;
+      EXPECT_EQ(a.total_energy_j, b.total_energy_j);
+      EXPECT_EQ(a.rebuffer_s, b.rebuffer_s);
+      EXPECT_EQ(a.mean_bitrate_mbps, b.mean_bitrate_mbps);
+      EXPECT_EQ(a.mean_context_error, b.mean_context_error);
+      EXPECT_EQ(a.qoe_delta_vs_clean, b.qoe_delta_vs_clean);
+      EXPECT_EQ(a.energy_delta_vs_clean_j, b.energy_delta_vs_clean_j);
+      EXPECT_EQ(a.rebuffer_delta_vs_clean_s, b.rebuffer_delta_vs_clean_s);
+      EXPECT_EQ(a.qoe_delta_vs_blind, b.qoe_delta_vs_blind);
+      EXPECT_EQ(a.energy_delta_vs_blind_j, b.energy_delta_vs_blind_j);
+    }
+    EXPECT_EQ(serial.clean_ours.mean_qoe, parallel.clean_ours.mean_qoe);
+    EXPECT_EQ(serial.clean_ours.total_energy_j,
+              parallel.clean_ours.total_energy_j);
+    EXPECT_EQ(serial.context_blind.mean_qoe, parallel.context_blind.mean_qoe);
+    EXPECT_EQ(serial.context_blind.total_energy_j,
+              parallel.context_blind.total_energy_j);
+  }
+}
+
 TEST(SensorFaultStudyTest, ConfigValidation) {
   SensorFaultStudyConfig empty_axis;
   empty_axis.intensities.clear();
   EXPECT_THROW(run_sensor_fault_study(empty_axis), std::invalid_argument);
+
+  // A negative or non-finite intensity is refused up front, not computed as
+  // some other cell under its label.
+  for (const double bad : {-0.25, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    SensorFaultStudyConfig bad_axis;
+    bad_axis.scenarios = {SensorFaultScenario::kDropout,
+                          SensorFaultScenario::kCombined};
+    bad_axis.intensities = {1.0, bad};
+    EXPECT_THROW(run_sensor_fault_study(bad_axis), std::invalid_argument)
+        << "intensity " << bad;
+  }
 
   SensorFaultStudyConfig config;
   config.scenarios = {SensorFaultScenario::kDropout};
