@@ -108,17 +108,4 @@ PlaybackResult PlayerSimulator::run(AbrPolicy& policy,
   return run_on(link, policy, session, nullptr, observer, vibration);
 }
 
-PlaybackResult PlayerSimulator::run(AbrPolicy& policy,
-                                    const trace::SessionTraces& session,
-                                    const net::FaultInjector& faults,
-                                    const sensors::SensorFaultInjector& sensor_faults,
-                                    SessionObserver* observer,
-                                    const sensors::VibrationTrack* vibration) const {
-  if (!faults.active()) {
-    return run(policy, session, sensor_faults, observer, vibration);
-  }
-  return run_on(FaultLinkModel(faults), policy, session, &sensor_faults,
-                observer, vibration);
-}
-
 }  // namespace eacs::player

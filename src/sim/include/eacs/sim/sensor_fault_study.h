@@ -111,7 +111,8 @@ struct SensorFaultStudyResult {
 /// Runs the sweep. Sessions are built once and shared; each (grid point,
 /// session) fault seed derives from config.seed, so the whole table is
 /// reproducible bit-for-bit at any job count. Throws std::invalid_argument
-/// on an empty intensity axis or a non-finite or negative intensity.
+/// on an empty intensity axis, a non-finite or negative intensity or
+/// combined rate, or a non-finite or non-positive episode length.
 SensorFaultStudyResult run_sensor_fault_study(
     const SensorFaultStudyConfig& config = {});
 

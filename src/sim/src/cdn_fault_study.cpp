@@ -7,7 +7,7 @@
 #include "eacs/abr/bba.h"
 #include "eacs/net/segment_source.h"
 #include "eacs/sim/seed_mix.h"
-#include "eacs/util/thread_pool.h"
+#include "eacs/sim/study_grid.h"
 
 namespace eacs::sim {
 namespace {
@@ -84,42 +84,21 @@ const CdnFaultCell& CdnFaultStudyResult::cell(CdnFaultFamily family,
 }
 
 CdnFaultStudyResult run_cdn_fault_study(const CdnFaultStudyConfig& config) {
-  if (config.intensities.empty() || config.source_counts.empty()) {
-    throw std::invalid_argument("run_cdn_fault_study: empty sweep axes");
+  StudyGrid::check_axis("run_cdn_fault_study", config.intensities);
+  if (config.source_counts.empty()) {
+    throw std::invalid_argument("run_cdn_fault_study: empty sweep axis");
   }
   for (const std::size_t count : config.source_counts) {
     if (count == 0) {
       throw std::invalid_argument("run_cdn_fault_study: zero source count");
     }
   }
-  for (const double intensity : config.intensities) {
-    if (!(std::isfinite(intensity) && intensity >= 0.0)) {
-      throw std::invalid_argument(
-          "run_cdn_fault_study: intensities must be finite and >= 0");
-    }
-  }
   const auto families =
       config.families.empty() ? all_cdn_fault_families() : config.families;
 
-  const Evaluation evaluation(config.evaluation);
-  const qoe::QoeModel qoe_model(config.evaluation.qoe);
-  const power::PowerModel power_model(config.evaluation.power);
-
   player::PlayerConfig player_config = config.evaluation.player;
   player_config.resilience.hedge_enabled = config.hedge_enabled;
-
-  const auto sessions = trace::build_all_sessions(config.evaluation.session_options);
-  std::vector<media::VideoManifest> manifests;
-  std::vector<player::PlayerSimulator> simulators;
-  std::vector<sensors::VibrationTrack> tracks;
-  manifests.reserve(sessions.size());
-  simulators.reserve(sessions.size());
-  tracks.reserve(sessions.size());
-  for (const auto& session : sessions) {
-    manifests.push_back(evaluation.manifest_for(session.spec));
-    simulators.emplace_back(manifests.back(), player_config);
-    tracks.emplace_back(session.accel, player_config.vibration);
-  }
+  const StudyGrid grid(config.evaluation, player_config);
 
   struct UnitResult {
     SessionMetrics metrics;
@@ -129,91 +108,66 @@ CdnFaultStudyResult run_cdn_fault_study(const CdnFaultStudyConfig& config) {
   };
 
   // One unit: the delivery policy (BBA — the study isolates delivery
-  // robustness, not ABR choice) over one session through `count` sources.
-  // A zero count runs the fault-free single-source reference.
-  const auto run_unit = [&](std::size_t s, CdnFaultFamily family,
-                            double intensity, std::size_t count,
-                            std::uint64_t seed) {
-    const auto& session = sessions[s];
+  // robustness, not ABR choice) over one session, on the clean link or
+  // through the given sources.
+  const auto run_bba = [&](std::size_t s, const auto&... sources) {
     abr::Bba bba(5.0, config.evaluation.player.buffer_threshold_s);
+    const auto playback = grid.replay(s, bba, sources...);
     UnitResult unit;
-    player::PlaybackResult playback;
-    if (count == 0) {
-      playback = simulators[s].run(bba, session, nullptr, &tracks[s]);
-    } else {
-      std::vector<net::SegmentSource> sources;
-      sources.reserve(count);
-      net::CdnSourceConfig origin;
-      origin.name = "origin";
-      origin.id = 0;
-      origin.faults = origin_spec(config, family, intensity, seed);
-      sources.emplace_back(session.throughput_mbps, origin, &session.signal_dbm);
-      for (std::size_t k = 1; k < count; ++k) {
-        net::CdnSourceConfig edge;
-        edge.name = "edge-" + std::to_string(k);
-        edge.id = k;
-        edge.throughput_scale =
-            std::max(config.edge_scale_floor,
-                     1.0 - static_cast<double>(k) * config.edge_scale_step);
-        edge.base_rtt_s = static_cast<double>(k) * config.edge_rtt_step_s;
-        sources.emplace_back(session.throughput_mbps, edge, &session.signal_dbm);
-      }
-      playback = simulators[s].run(bba, session,
-                                   std::span<const net::SegmentSource>(sources),
-                                   nullptr, &tracks[s]);
-    }
-    unit.metrics = compute_metrics(bba.name(), session.spec.id, playback,
-                                   manifests[s], qoe_model, power_model);
+    unit.metrics = grid.metrics(s, bba, playback);
     unit.hedges = playback.total_hedges;
     unit.failovers = playback.total_failovers;
     unit.breaker_transitions = playback.breaker_transitions;
     return unit;
   };
 
-  const std::size_t jobs = config.evaluation.exec.resolved_jobs();
-  const std::size_t n_sessions = sessions.size();
-  const std::size_t n_cells =
-      families.size() * config.intensities.size() * config.source_counts.size();
-  const std::size_t counts_per_family =
-      config.intensities.size() * config.source_counts.size();
-
   // Fault-free single-source reference.
-  const auto clean_units =
-      util::parallel_map(jobs, n_sessions, [&](std::size_t s) {
-        return run_unit(s, CdnFaultFamily::kOriginOutage, 0.0, 0, 0);
-      });
-
   CdnFaultStudyResult result;
-  for (const auto& unit : clean_units) {
+  for (const auto& unit : grid.baseline(run_bba)) {
     result.clean.algorithm = unit.metrics.algorithm;
     result.clean.mean_qoe +=
-        unit.metrics.mean_qoe / static_cast<double>(n_sessions);
+        unit.metrics.mean_qoe / static_cast<double>(grid.size());
     result.clean.total_energy_j += unit.metrics.total_energy_j;
     result.clean.rebuffer_s += unit.metrics.rebuffer_s;
     result.clean.mean_bitrate_mbps +=
-        unit.metrics.mean_bitrate_mbps / static_cast<double>(n_sessions);
+        unit.metrics.mean_bitrate_mbps / static_cast<double>(grid.size());
   }
 
-  // The grid, flattened to (grid point, session) units; each unit's fault
-  // seed is pure in (config.seed, grid index, session id). The seed ignores
-  // the source-count axis on purpose: a given (family, intensity, session)
-  // draws the *same* origin fault realisation at every source count, so the
-  // source-count axis isolates the failover machinery rather than re-rolling
-  // the faults.
-  const auto cell_units =
-      util::parallel_map(jobs, n_cells * n_sessions, [&](std::size_t item) {
-        const std::size_t grid_index = item / n_sessions;
-        const std::size_t s = item % n_sessions;
-        const auto family = families[grid_index / counts_per_family];
-        const std::size_t within = grid_index % counts_per_family;
-        const double intensity =
-            config.intensities[within / config.source_counts.size()];
-        const std::size_t count =
-            config.source_counts[within % config.source_counts.size()];
-        const std::size_t fault_point =
-            grid_index / config.source_counts.size();
-        return run_unit(s, family, intensity, count,
-                        seed_mix(config.seed, fault_point, sessions[s].spec.id));
+  // The grid: the origin plus (count - 1) edges per unit. Each unit's fault
+  // seed is pure in (config.seed, fault point, session id), where the fault
+  // point skips the source-count axis on purpose: a given (family,
+  // intensity, session) draws the *same* origin fault realisation at every
+  // source count, so that axis isolates the failover machinery rather than
+  // re-rolling the faults.
+  const std::size_t n_counts = config.source_counts.size();
+  const std::size_t n_intensities = config.intensities.size();
+  const auto cell_units = grid.cells(
+      families.size() * n_intensities * n_counts,
+      [&](std::size_t grid_index, std::size_t s) {
+        const std::size_t fault_point = grid_index / n_counts;
+        const std::size_t count = config.source_counts[grid_index % n_counts];
+        const auto& session = grid.session(s);
+        std::vector<net::SegmentSource> sources;
+        sources.reserve(count);
+        net::CdnSourceConfig origin;
+        origin.name = "origin";
+        origin.id = 0;
+        origin.faults = origin_spec(
+            config, families[fault_point / n_intensities],
+            config.intensities[fault_point % n_intensities],
+            seed_mix(config.seed, fault_point, session.spec.id));
+        sources.emplace_back(session.throughput_mbps, origin, &session.signal_dbm);
+        for (std::size_t k = 1; k < count; ++k) {
+          net::CdnSourceConfig edge;
+          edge.name = "edge-" + std::to_string(k);
+          edge.id = k;
+          edge.throughput_scale =
+              std::max(config.edge_scale_floor,
+                       1.0 - static_cast<double>(k) * config.edge_scale_step);
+          edge.base_rtt_s = static_cast<double>(k) * config.edge_rtt_step_s;
+          sources.emplace_back(session.throughput_mbps, edge, &session.signal_dbm);
+        }
+        return run_bba(s, std::span<const net::SegmentSource>(sources));
       });
 
   // Serial reduction in grid order: bit-identical at any job count.
@@ -225,15 +179,15 @@ CdnFaultStudyResult run_cdn_fault_study(const CdnFaultStudyConfig& config) {
         cell.family = family;
         cell.intensity = intensity;
         cell.sources = count;
-        for (std::size_t s = 0; s < n_sessions; ++s) {
-          const auto& unit = cell_units[grid_index * n_sessions + s];
+        for (std::size_t s = 0; s < grid.size(); ++s) {
+          const auto& unit = cell_units[grid_index * grid.size() + s];
           cell.mean_qoe +=
-              unit.metrics.mean_qoe / static_cast<double>(n_sessions);
+              unit.metrics.mean_qoe / static_cast<double>(grid.size());
           cell.total_energy_j += unit.metrics.total_energy_j;
           cell.wasted_energy_j += unit.metrics.wasted_energy_j;
           cell.rebuffer_s += unit.metrics.rebuffer_s;
           cell.mean_bitrate_mbps +=
-              unit.metrics.mean_bitrate_mbps / static_cast<double>(n_sessions);
+              unit.metrics.mean_bitrate_mbps / static_cast<double>(grid.size());
           cell.retries += unit.metrics.retries;
           cell.hedges += unit.hedges;
           cell.failovers += unit.failovers;
@@ -248,9 +202,8 @@ CdnFaultStudyResult run_cdn_fault_study(const CdnFaultStudyConfig& config) {
   }
 
   // Deltas vs. the retry-only (source-count-1) cell of the same family and
-  // intensity, once all cells exist.
+  // intensity, once all cells exist; they stay zero without such a cell.
   for (auto& cell : result.cells) {
-    bool found = false;
     for (const auto& single : result.cells) {
       if (single.sources == 1 && single.family == cell.family &&
           std::fabs(single.intensity - cell.intensity) < 1e-12) {
@@ -258,14 +211,8 @@ CdnFaultStudyResult run_cdn_fault_study(const CdnFaultStudyConfig& config) {
         cell.energy_delta_vs_single_j =
             cell.total_energy_j - single.total_energy_j;
         cell.rebuffer_delta_vs_single_s = cell.rebuffer_s - single.rebuffer_s;
-        found = true;
         break;
       }
-    }
-    if (!found) {
-      cell.qoe_delta_vs_single = 0.0;
-      cell.energy_delta_vs_single_j = 0.0;
-      cell.rebuffer_delta_vs_single_s = 0.0;
     }
   }
   return result;

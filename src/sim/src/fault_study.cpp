@@ -1,6 +1,7 @@
 #include "eacs/sim/fault_study.h"
 
 #include <cmath>
+#include <initializer_list>
 #include <map>
 #include <stdexcept>
 
@@ -11,7 +12,7 @@
 #include "eacs/core/optimal.h"
 #include "eacs/net/fault_injector.h"
 #include "eacs/sim/seed_mix.h"
-#include "eacs/util/thread_pool.h"
+#include "eacs/sim/study_grid.h"
 
 namespace eacs::sim {
 
@@ -29,67 +30,33 @@ const FaultCell& FaultStudyResult::cell(const std::string& algorithm,
 }
 
 FaultStudyResult run_fault_study(const FaultStudyConfig& config) {
-  if (config.outage_rates_per_min.empty() || config.failure_probs.empty()) {
-    throw std::invalid_argument("run_fault_study: empty sweep axes");
-  }
-  for (const auto* axis : {&config.outage_rates_per_min, &config.failure_probs}) {
-    for (const double value : *axis) {
-      if (!(std::isfinite(value) && value >= 0.0)) {
-        throw std::invalid_argument(
-            "run_fault_study: axis values must be finite and >= 0");
-      }
-    }
-  }
+  StudyGrid::check_axis("run_fault_study", config.outage_rates_per_min);
+  StudyGrid::check_axis("run_fault_study", config.failure_probs);
 
-  const Evaluation evaluation(config.evaluation);
+  const StudyGrid grid(config.evaluation, config.evaluation.player);
   const core::Objective objective = make_objective(config.evaluation);
-  const qoe::QoeModel& qoe_model = objective.qoe_model();
-  const power::PowerModel& power_model = objective.power_model();
-
-  // Sessions, manifests, simulators, vibration tracks and optimal plans are
-  // built once and shared across the whole grid.
-  const auto sessions = trace::build_all_sessions(config.evaluation.session_options);
-  std::vector<media::VideoManifest> manifests;
-  std::vector<player::PlayerSimulator> simulators;
-  std::vector<sensors::VibrationTrack> tracks;
   std::vector<core::OptimalPlan> plans;
-  manifests.reserve(sessions.size());
-  simulators.reserve(sessions.size());
-  tracks.reserve(sessions.size());
-  plans.reserve(sessions.size());
-  for (const auto& session : sessions) {
-    manifests.push_back(evaluation.manifest_for(session.spec));
-    simulators.emplace_back(manifests.back(), config.evaluation.player);
-    tracks.emplace_back(session.accel, config.evaluation.player.vibration);
-    core::OptimalPlanner planner(objective);
-    plans.push_back(planner.plan(
-        core::build_task_environments(manifests.back(), session, tracks.back())));
+  plans.reserve(grid.size());
+  for (std::size_t s = 0; s < grid.size(); ++s) {
+    plans.push_back(core::OptimalPlanner(objective).plan(core::build_task_environments(
+        grid.manifest(s), grid.session(s), grid.track(s))));
   }
 
-  // One unit of work: replay every policy over one session (optionally
-  // through a fault injector) and return the metrics in policy order. Fresh
+  // One unit of work: replay every policy over one session (clean, or over
+  // the given fault injector) and return the metrics in policy order. Fresh
   // policy instances per unit (the planner output is shared, read-only).
-  const auto run_policies = [&](std::size_t s, const net::FaultInjector* faults) {
-    const auto& session = sessions[s];
+  const auto run_policies = [&](std::size_t s, const auto&... faults) {
     abr::FixedBitrate youtube;
     abr::Festive festive;
     abr::Bba bba(5.0, config.evaluation.player.buffer_threshold_s);
     core::OnlineBitrateSelector ours(
-        objective, {.startup_level = config.evaluation.online_startup_level,
-                    .cache = nullptr});
+        objective, {.startup_level = config.evaluation.online_startup_level});
     core::PlannedPolicy optimal(plans[s]);
 
-    const std::vector<player::AbrPolicy*> policies = {&youtube, &festive, &bba,
-                                                      &ours, &optimal};
     std::vector<SessionMetrics> metrics;
-    metrics.reserve(policies.size());
-    for (player::AbrPolicy* policy : policies) {
-      const auto playback =
-          faults != nullptr
-              ? simulators[s].run(*policy, session, *faults, nullptr, &tracks[s])
-              : simulators[s].run(*policy, session, nullptr, &tracks[s]);
-      metrics.push_back(compute_metrics(policy->name(), session.spec.id, playback,
-                                        manifests[s], qoe_model, power_model));
+    for (player::AbrPolicy* policy : std::initializer_list<player::AbrPolicy*>{
+             &youtube, &festive, &bba, &ours, &optimal}) {
+      metrics.push_back(grid.metrics(s, *policy, grid.replay(s, *policy, faults...)));
     }
     return metrics;
   };
@@ -102,7 +69,7 @@ FaultStudyResult run_fault_study(const FaultStudyConfig& config) {
     for (const auto& m : metrics) {
       FaultCell& cell = cells[m.algorithm];
       cell.algorithm = m.algorithm;
-      cell.mean_qoe += m.mean_qoe / static_cast<double>(sessions.size());
+      cell.mean_qoe += m.mean_qoe / static_cast<double>(grid.size());
       cell.total_energy_j += m.total_energy_j;
       cell.wasted_energy_j += m.wasted_energy_j;
       cell.rebuffer_s += m.rebuffer_s;
@@ -111,43 +78,32 @@ FaultStudyResult run_fault_study(const FaultStudyConfig& config) {
     }
   };
 
-  const std::size_t jobs = config.evaluation.exec.resolved_jobs();
-  const std::size_t n_sessions = sessions.size();
-  const std::size_t n_cells =
-      config.outage_rates_per_min.size() * config.failure_probs.size();
-
   // Fault-free baseline per algorithm: the reference every cell's deltas
   // are taken against.
-  const auto baseline_metrics = util::parallel_map(
-      jobs, n_sessions, [&](std::size_t s) { return run_policies(s, nullptr); });
   std::map<std::string, FaultCell> baseline;
-  for (const auto& metrics : baseline_metrics) accumulate(baseline, metrics);
+  for (const auto& metrics : grid.baseline(run_policies)) {
+    accumulate(baseline, metrics);
+  }
 
-  // The grid, flattened to (grid cell, session) units. Each unit's fault
-  // seed is a pure function of (config.seed, grid index, session id), so
-  // the whole table is reproducible at any job count.
-  const auto cell_metrics =
-      util::parallel_map(jobs, n_cells * n_sessions, [&](std::size_t item) {
-        const std::size_t grid_index = item / n_sessions;
-        const std::size_t s = item % n_sessions;
-        const double outage_rate =
-            config.outage_rates_per_min[grid_index / config.failure_probs.size()];
-        const double failure_prob =
-            config.failure_probs[grid_index % config.failure_probs.size()];
-        const auto& session = sessions[s];
-
+  // The grid: each unit's fault seed is a pure function of (config.seed,
+  // grid index, session id), so the whole table is reproducible at any job
+  // count.
+  const std::size_t n_probs = config.failure_probs.size();
+  const auto cell_metrics = grid.cells(
+      config.outage_rates_per_min.size() * n_probs,
+      [&](std::size_t grid_index, std::size_t s) {
+        const auto& session = grid.session(s);
         net::FaultSpec spec;
-        spec.outage_rate_per_min = outage_rate;
+        spec.outage_rate_per_min = config.outage_rates_per_min[grid_index / n_probs];
         spec.outage_mean_s = config.outage_mean_s;
-        spec.failure_prob = failure_prob;
-        if (failure_prob > 0.0) {
+        spec.failure_prob = config.failure_probs[grid_index % n_probs];
+        if (spec.failure_prob > 0.0) {
           spec.signal_failure_per_db = config.signal_failure_per_db;
           spec.signal_threshold_dbm = config.signal_threshold_dbm;
         }
         spec.seed = seed_mix(config.seed, grid_index, session.spec.id);
-        const net::FaultInjector faults(session.throughput_mbps, spec,
-                                        &session.signal_dbm);
-        return run_policies(s, &faults);
+        return run_policies(s, net::FaultInjector(session.throughput_mbps, spec,
+                                                  &session.signal_dbm));
       });
 
   FaultStudyResult result;
@@ -155,8 +111,8 @@ FaultStudyResult run_fault_study(const FaultStudyConfig& config) {
   for (const double outage_rate : config.outage_rates_per_min) {
     for (const double failure_prob : config.failure_probs) {
       std::map<std::string, FaultCell> per_algorithm;
-      for (std::size_t s = 0; s < n_sessions; ++s) {
-        accumulate(per_algorithm, cell_metrics[grid_index * n_sessions + s]);
+      for (std::size_t s = 0; s < grid.size(); ++s) {
+        accumulate(per_algorithm, cell_metrics[grid_index * grid.size() + s]);
       }
 
       for (auto& [name, cell] : per_algorithm) {

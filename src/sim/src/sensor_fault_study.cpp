@@ -7,7 +7,7 @@
 #include "eacs/core/online.h"
 #include "eacs/sensors/sensor_faults.h"
 #include "eacs/sim/seed_mix.h"
-#include "eacs/util/thread_pool.h"
+#include "eacs/sim/study_grid.h"
 
 namespace eacs::sim {
 namespace {
@@ -113,38 +113,23 @@ const SensorFaultCell& SensorFaultStudyResult::cell(
 
 SensorFaultStudyResult run_sensor_fault_study(
     const SensorFaultStudyConfig& config) {
-  if (config.intensities.empty()) {
-    throw std::invalid_argument("run_sensor_fault_study: empty intensity axis");
+  StudyGrid::check_axis("run_sensor_fault_study", config.intensities);
+  if (!(std::isfinite(config.episode_length_s) && config.episode_length_s > 0.0)) {
+    throw std::invalid_argument(
+        "run_sensor_fault_study: episode_length_s must be finite and > 0");
   }
-  for (const double intensity : config.intensities) {
-    if (!(std::isfinite(intensity) && intensity >= 0.0)) {
+  for (const double rate : {config.combined_accel_rate_per_min,
+                            config.combined_signal_rate_per_min}) {
+    if (!(std::isfinite(rate) && rate >= 0.0)) {
       throw std::invalid_argument(
-          "run_sensor_fault_study: intensities must be finite and >= 0");
+          "run_sensor_fault_study: combined rates must be finite and >= 0");
     }
   }
   const auto scenarios = config.scenarios.empty() ? all_sensor_fault_scenarios()
                                                   : config.scenarios;
 
-  const Evaluation evaluation(config.evaluation);
+  const StudyGrid grid(config.evaluation, config.evaluation.player);
   const core::Objective objective = make_objective(config.evaluation);
-  const qoe::QoeModel& qoe_model = objective.qoe_model();
-  const power::PowerModel& power_model = objective.power_model();
-
-  const auto sessions = trace::build_all_sessions(config.evaluation.session_options);
-  std::vector<media::VideoManifest> manifests;
-  std::vector<player::PlayerSimulator> simulators;
-  std::vector<sensors::VibrationTrack> tracks;  // true vibration, per session
-  std::vector<std::vector<sensors::SignalSample>> signal_streams;
-  manifests.reserve(sessions.size());
-  simulators.reserve(sessions.size());
-  tracks.reserve(sessions.size());
-  signal_streams.reserve(sessions.size());
-  for (const auto& session : sessions) {
-    manifests.push_back(evaluation.manifest_for(session.spec));
-    simulators.emplace_back(manifests.back(), config.evaluation.player);
-    tracks.emplace_back(session.accel, config.evaluation.player.vibration);
-    signal_streams.push_back(trace::signal_samples(session.signal_dbm));
-  }
 
   struct UnitResult {
     SessionMetrics metrics;
@@ -152,21 +137,14 @@ SensorFaultStudyResult run_sensor_fault_study(
     std::size_t tasks = 0;
   };
 
-  // One unit: degraded-context Ours over one session. A null injector runs
-  // the clean baseline instead.
-  const auto run_ours = [&](std::size_t s,
-                            const sensors::SensorFaultInjector* faults) {
-    const auto& session = sessions[s];
+  // One unit: Ours over one session, clean or with the given sensor-fault
+  // injector corrupting what it perceives.
+  const auto run_ours = [&](std::size_t s, const auto&... faults) {
     core::OnlineBitrateSelector ours(
-        objective, {.startup_level = config.evaluation.online_startup_level,
-                    .cache = nullptr});
-    const auto playback =
-        faults != nullptr
-            ? simulators[s].run(ours, session, *faults, nullptr, &tracks[s])
-            : simulators[s].run(ours, session, nullptr, &tracks[s]);
+        objective, {.startup_level = config.evaluation.online_startup_level});
+    const auto playback = grid.replay(s, ours, faults...);
     UnitResult unit;
-    unit.metrics = compute_metrics(ours.name(), session.spec.id, playback,
-                                   manifests[s], qoe_model, power_model);
+    unit.metrics = grid.metrics(s, ours, playback);
     for (const auto& task : playback.tasks) {
       unit.context_error_sum += std::fabs(task.perceived_vibration - task.vibration);
     }
@@ -177,30 +155,20 @@ SensorFaultStudyResult run_sensor_fault_study(
   const auto accumulate_baseline = [&](SensorFaultBaseline& base,
                                        const SessionMetrics& m) {
     base.algorithm = m.algorithm;
-    base.mean_qoe += m.mean_qoe / static_cast<double>(sessions.size());
+    base.mean_qoe += m.mean_qoe / static_cast<double>(grid.size());
     base.total_energy_j += m.total_energy_j;
     base.rebuffer_s += m.rebuffer_s;
     base.mean_bitrate_mbps +=
-        m.mean_bitrate_mbps / static_cast<double>(sessions.size());
+        m.mean_bitrate_mbps / static_cast<double>(grid.size());
   };
-
-  const std::size_t jobs = config.evaluation.exec.resolved_jobs();
-  const std::size_t n_sessions = sessions.size();
-  const std::size_t n_cells = scenarios.size() * config.intensities.size();
 
   // Baselines: clean-context Ours and the context-blind reference (BBA reads
   // no vibration/signal, so sensor faults cannot touch it).
-  const auto clean_units = util::parallel_map(
-      jobs, n_sessions, [&](std::size_t s) { return run_ours(s, nullptr); });
-  const auto blind_metrics =
-      util::parallel_map(jobs, n_sessions, [&](std::size_t s) {
-        const auto& session = sessions[s];
-        abr::Bba bba(5.0, config.evaluation.player.buffer_threshold_s);
-        const auto playback =
-            simulators[s].run(bba, session, nullptr, &tracks[s]);
-        return compute_metrics(bba.name(), session.spec.id, playback,
-                               manifests[s], qoe_model, power_model);
-      });
+  const auto clean_units = grid.baseline(run_ours);
+  const auto blind_metrics = grid.baseline([&](std::size_t s) {
+    abr::Bba bba(5.0, config.evaluation.player.buffer_threshold_s);
+    return grid.metrics(s, bba, grid.replay(s, bba));
+  });
 
   SensorFaultStudyResult result;
   for (const auto& unit : clean_units) {
@@ -208,26 +176,21 @@ SensorFaultStudyResult run_sensor_fault_study(
   }
   for (const auto& m : blind_metrics) accumulate_baseline(result.context_blind, m);
 
-  // The grid, flattened to (grid point, session) units; each unit builds its
-  // own injector from a seed pure in (config.seed, grid index, session id).
-  const auto cell_units =
-      util::parallel_map(jobs, n_cells * n_sessions, [&](std::size_t item) {
-        const std::size_t grid_index = item / n_sessions;
-        const std::size_t s = item % n_sessions;
-        const auto scenario = scenarios[grid_index / config.intensities.size()];
-        const double intensity =
-            config.intensities[grid_index % config.intensities.size()];
-        const auto& session = sessions[s];
-
-        const double accel_horizon =
-            session.accel.empty() ? 0.0 : session.accel.back().t_s;
+  // The grid: each unit builds its own injector from a seed pure in
+  // (config.seed, grid index, session id).
+  const std::size_t n_intensities = config.intensities.size();
+  const auto cell_units = grid.cells(
+      scenarios.size() * n_intensities, [&](std::size_t grid_index, std::size_t s) {
+        const auto& session = grid.session(s);
         const auto spec = build_spec(
-            config, scenario, intensity, accel_horizon,
+            config, scenarios[grid_index / n_intensities],
+            config.intensities[grid_index % n_intensities],
+            session.accel.empty() ? 0.0 : session.accel.back().t_s,
             session.signal_dbm.empty() ? 0.0 : session.signal_dbm.end_time(),
             seed_mix(config.seed, grid_index, session.spec.id));
-        const sensors::SensorFaultInjector faults(session.accel,
-                                                  signal_streams[s], spec);
-        return run_ours(s, &faults);
+        return run_ours(s, sensors::SensorFaultInjector(
+                               session.accel, trace::signal_samples(session.signal_dbm),
+                               spec));
       });
 
   // Serial reduction in grid order: bit-identical at any job count.
@@ -239,13 +202,13 @@ SensorFaultStudyResult run_sensor_fault_study(
       cell.intensity = intensity;
       double error_sum = 0.0;
       std::size_t task_count = 0;
-      for (std::size_t s = 0; s < n_sessions; ++s) {
-        const auto& unit = cell_units[grid_index * n_sessions + s];
-        cell.mean_qoe += unit.metrics.mean_qoe / static_cast<double>(n_sessions);
+      for (std::size_t s = 0; s < grid.size(); ++s) {
+        const auto& unit = cell_units[grid_index * grid.size() + s];
+        cell.mean_qoe += unit.metrics.mean_qoe / static_cast<double>(grid.size());
         cell.total_energy_j += unit.metrics.total_energy_j;
         cell.rebuffer_s += unit.metrics.rebuffer_s;
         cell.mean_bitrate_mbps +=
-            unit.metrics.mean_bitrate_mbps / static_cast<double>(n_sessions);
+            unit.metrics.mean_bitrate_mbps / static_cast<double>(grid.size());
         error_sum += unit.context_error_sum;
         task_count += unit.tasks;
       }

@@ -391,7 +391,7 @@ std::string replay_dump(
 TEST(VibrationTrackEngineTest, SharedTrackIsBitIdenticalToAnOwnedOne) {
   // The five evaluation algorithms over one vibrating session, each replayed
   // with the engine building its own track and with one shared track; plus
-  // the fault-injected and sensor-fault overloads.
+  // link and sensor faults together on the engine.
   const auto manifest = make_manifest(90.0, 2.0);
   const auto session = make_step_session(90.0, 9.0, 2.0, 40.0, -100.0, 4.5);
   PlayerConfig config;
@@ -423,13 +423,21 @@ TEST(VibrationTrackEngineTest, SharedTrackIsBitIdenticalToAnOwnedOne) {
   sensor_spec.accel_episode_rate_per_min = 4.0;
   const sensors::SensorFaultInjector sensor_faults(
       session.accel, trace::signal_samples(session.signal_dbm), sensor_spec);
-  EXPECT_EQ(replay_dump([&](SessionObserver* observer) {
-              return simulator.run(ours, session, faults, sensor_faults, observer);
-            }),
-            replay_dump([&](SessionObserver* observer) {
-              return simulator.run(ours, session, faults, sensor_faults, observer,
-                                   &track);
-            }));
+  const FaultLinkModel link(faults);
+  const SessionEngine engine(SessionEngineConfig{.player = config});
+  const auto replay_combined = [&](const sensors::VibrationTrack* vibration) {
+    return replay_dump([&](SessionObserver* observer) {
+      SessionClient client;
+      client.manifest = &manifest;
+      client.policy = &ours;
+      client.context = &session;
+      client.sensor_faults = &sensor_faults;
+      client.vibration_track = vibration;
+      return engine.run(std::span<const SessionClient>(&client, 1), link, observer)
+          .front();
+    });
+  };
+  EXPECT_EQ(replay_combined(nullptr), replay_combined(&track));
 }
 
 TEST(VibrationTrackEngineTest, ForeignTrackThrows) {

@@ -207,5 +207,32 @@ TEST(SensorFaultStudyTest, ConfigValidation) {
                std::out_of_range);
 }
 
+TEST(SensorFaultStudyTest, RejectsDegenerateEpisodeLengthAndRates) {
+  // A zero or negative episode length once laid out periodic episodes with a
+  // period that never advanced past the horizon: the study looped forever.
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad : {0.0, -20.0, kNan, kInf}) {
+    SensorFaultStudyConfig config;
+    config.scenarios = {SensorFaultScenario::kDropout};
+    config.intensities = {0.5};
+    config.episode_length_s = bad;
+    EXPECT_THROW(run_sensor_fault_study(config), std::invalid_argument)
+        << "episode_length_s " << bad;
+  }
+  for (const double bad : {-1.0, kNan, kInf}) {
+    SensorFaultStudyConfig accel;
+    accel.scenarios = {SensorFaultScenario::kCombined};
+    accel.combined_accel_rate_per_min = bad;
+    EXPECT_THROW(run_sensor_fault_study(accel), std::invalid_argument)
+        << "combined_accel_rate_per_min " << bad;
+    SensorFaultStudyConfig signal;
+    signal.scenarios = {SensorFaultScenario::kCombined};
+    signal.combined_signal_rate_per_min = bad;
+    EXPECT_THROW(run_sensor_fault_study(signal), std::invalid_argument)
+        << "combined_signal_rate_per_min " << bad;
+  }
+}
+
 }  // namespace
 }  // namespace eacs::sim
