@@ -142,6 +142,8 @@ struct DecisionCacheStats {
                                static_cast<double>(lookups())
                          : 0.0;
   }
+
+  bool operator==(const DecisionCacheStats&) const = default;
 };
 
 /// Serialized contents of a DecisionCache: the occupied slots (with their
@@ -160,6 +162,8 @@ struct DecisionCacheState {
 
   DecisionCacheStats stats;
   std::vector<Entry> entries;
+
+  bool operator==(const DecisionCacheState&) const = default;
 };
 
 /// The memoization table. Throws std::invalid_argument on a quantized

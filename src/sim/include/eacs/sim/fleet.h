@@ -196,6 +196,8 @@ struct FleetCounters {
 
   /// Adds `other`'s counters into this one.
   void merge(const FleetCounters& other);
+
+  bool operator==(const FleetCounters&) const = default;
 };
 
 /// Per-region streaming aggregates (the shard-local view, kept in the
@@ -208,6 +210,8 @@ struct FleetRegionMetrics : FleetCounters {
   std::size_t num_cells = 0;
   double median_qoe = 0.0;       ///< P^2 streaming estimate
   double median_energy_j = 0.0;  ///< P^2 streaming estimate
+
+  bool operator==(const FleetRegionMetrics&) const = default;
 };
 
 /// Fleet-wide outcome: the region counters merged in region order,
@@ -233,6 +237,9 @@ struct FleetMetrics : FleetCounters {
   double rebuffer_quantile(double p) const {
     return rebuffer_sample.quantile(p);
   }
+
+  /// FleetCounters' == would compare the counters only.
+  bool operator==(const FleetMetrics&) const = delete;
 };
 
 /// Runs the fleet. Deterministic in (config): bit-identical at any

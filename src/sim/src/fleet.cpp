@@ -7,6 +7,7 @@
 #include <optional>
 #include <queue>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "eacs/core/horizon.h"
@@ -31,16 +32,12 @@ double session_vibration(std::uint64_t seed, int session_id) noexcept {
   return 3.0 * u * u;
 }
 
-/// One scheduled event. Every live session has exactly one pending event
-/// (request -> complete -> request -> ...), so events can carry their slot
-/// index and never go stale. Arrivals come from the region's arrival cursor
-/// and only pass through the heap in the rare case noted at pop_next.
-struct Event {
-  double t_s = 0.0;
-  int session = 0;
-  std::uint8_t kind = 0;  // 0 = arrive, 1 = request, 2 = complete
-  std::uint32_t slot = 0;
-};
+/// One scheduled event, the checkpoint's own event type. Every live session
+/// has exactly one pending event (request -> complete -> request -> ...), so
+/// events can carry their slot index and never go stale. Arrivals come from
+/// the region's arrival cursor and only pass through the heap in the rare
+/// case noted at pop_next.
+using Event = FleetEventState;
 constexpr std::uint8_t kArrive = 0;
 constexpr std::uint8_t kRequest = 1;
 constexpr std::uint8_t kComplete = 2;
@@ -59,53 +56,15 @@ struct EventAfter {
   }
 };
 
-/// SoA arena for live-session state. All vectors are indexed by slot and
-/// sized to the *live* high-water mark — finished sessions return their slot
-/// to the free list, so a 100k-session run with a few hundred live at a time
+/// SoA arena for live-session state: the columns of FleetArenaState, so a
+/// checkpoint copies the arena whole. Finished sessions return their slot to
+/// the free list, so a 100k-session run with a few hundred live at a time
 /// allocates a few hundred slots. The bandwidth window is inlined as
 /// slots x K doubles (no per-session allocations).
-struct SessionArena {
-  std::size_t window = 1;
-
-  std::vector<int> session;
-  std::vector<std::size_t> cell;
-  std::vector<std::size_t> next_segment;
-  std::vector<double> arrival_s;
-  std::vector<double> last_event_s;  ///< playback drained up to here
-  std::vector<double> buffer_s;
-  std::vector<std::uint8_t> playing;
-  std::vector<double> startup_s;       ///< set when playback starts
-  std::vector<double> rebuffer_s;      ///< total stall so far
-  std::vector<double> seg_rebuffer_s;  ///< stall since the current request
-  std::vector<double> qoe_sum;
-  std::vector<double> energy_j;
-  std::vector<double> bitrate_sum;
-  std::vector<double> prev_bitrate;
-  std::vector<int> prev_level;  ///< last completed rung (-1 before any)
-  // In-flight transfer (valid between request and complete).
-  std::vector<double> request_s;
-  std::vector<double> size_mb;
-  std::vector<double> level_bitrate;
-  std::vector<std::uint32_t> level;  ///< in-flight rung index
-  // Planner L1: the slot's last canonical decision. Steady-state sessions
-  // canonicalize consecutive requests to the same key, and decisions are a
-  // pure function of the key, so an equal key reuses the level without
-  // probing the shared shard table (a guaranteed cold-cache access at fleet
-  // capacities). Counted as cache hits via count_external_hit().
-  std::vector<core::DecisionKey> last_key;
-  std::vector<std::uint32_t> last_level;
-  std::vector<std::uint8_t> has_last;
-  /// Consecutive failed request attempts (dead region): drives the
-  /// exponential backoff ladder; reset on every successful request.
-  std::vector<std::uint32_t> retries;
-  // Inline harmonic-mean bandwidth window: throughputs[slot*window + i].
-  std::vector<double> throughputs;
-  std::vector<std::size_t> seen;  ///< samples observed (ring write cursor)
-
-  std::vector<std::uint32_t> free_slots;
-
-  explicit SessionArena(std::size_t bandwidth_window)
-      : window(std::max<std::size_t>(1, bandwidth_window)) {}
+struct SessionArena : FleetArenaState {
+  explicit SessionArena(std::size_t bandwidth_window) {
+    window = std::max<std::size_t>(1, bandwidth_window);
+  }
 
   std::size_t slots() const noexcept { return session.size(); }
 
@@ -116,31 +75,9 @@ struct SessionArena {
       free_slots.pop_back();
     } else {
       slot = static_cast<std::uint32_t>(slots());
-      session.push_back(0);
-      cell.push_back(0);
-      next_segment.push_back(0);
-      arrival_s.push_back(0.0);
-      last_event_s.push_back(0.0);
-      buffer_s.push_back(0.0);
-      playing.push_back(0);
-      startup_s.push_back(0.0);
-      rebuffer_s.push_back(0.0);
-      seg_rebuffer_s.push_back(0.0);
-      qoe_sum.push_back(0.0);
-      energy_j.push_back(0.0);
-      bitrate_sum.push_back(0.0);
-      prev_bitrate.push_back(0.0);
-      prev_level.push_back(-1);
-      request_s.push_back(0.0);
-      size_mb.push_back(0.0);
-      level_bitrate.push_back(0.0);
-      level.push_back(0);
-      last_key.emplace_back();
-      last_level.push_back(0);
-      has_last.push_back(0);
-      retries.push_back(0);
-      throughputs.resize(throughputs.size() + window, 0.0);
-      seen.push_back(0);
+      for_each_column(*this, [](auto& column, std::size_t per_slot) {
+        column.resize(column.size() + per_slot);
+      });
     }
     session[slot] = id;
     cell[slot] = start_cell;
@@ -244,12 +181,7 @@ struct RegionSim {
   std::vector<core::TaskEnvironment> window_tasks;
   std::vector<std::uint64_t> ladder_ids;  // ladder_ids[w-1]: window size w
 
-  // Overload-shed detector state (DESIGN §14 degradation ladder).
-  bool live_shed = false;
-  bool miss_shed = false;
-  double shed_until_s = 0.0;
-  std::uint64_t window_consults = 0;
-  std::uint64_t window_misses = 0;
+  FleetShedState shed;  // overload-shed detector (DESIGN §14 ladder)
 
   RegionSim(const FleetConfig& config_in, const CellNetwork& network_in,
             const qoe::QoeModel& qoe_model_in,
@@ -467,21 +399,21 @@ struct RegionSim {
       const std::size_t recover =
           r.shed_live_recover > 0 ? r.shed_live_recover
                                   : r.shed_live_threshold / 2;
-      if (live_shed) {
+      if (shed.live_shed != 0) {
         if (live <= recover) {
-          live_shed = false;
+          shed.live_shed = 0;
           ++shard.region.policy_recoveries;
         }
       } else if (live >= r.shed_live_threshold) {
-        live_shed = true;
+        shed.live_shed = 1;
         ++shard.region.policy_sheds;
       }
     }
-    if (miss_shed && now >= shed_until_s) {
-      miss_shed = false;
+    if (shed.miss_shed != 0 && now >= shed.shed_until_s) {
+      shed.miss_shed = 0;
       ++shard.region.policy_recoveries;
     }
-    return live_shed || miss_shed;
+    return shed.live_shed != 0 || shed.miss_shed != 0;
   }
 
   /// Feeds the trailing-window miss-rate trigger after a planner
@@ -490,18 +422,18 @@ struct RegionSim {
   void note_consultation(bool miss, double now) {
     const FleetResilienceConfig& r = config.resilience;
     if (r.shed_miss_rate_threshold > 1.0 || r.shed_miss_window == 0) return;
-    ++window_consults;
-    if (miss) ++window_misses;
-    if (window_consults >= r.shed_miss_window) {
-      const double rate = static_cast<double>(window_misses) /
-                          static_cast<double>(window_consults);
-      if (!miss_shed && rate >= r.shed_miss_rate_threshold) {
-        miss_shed = true;
-        shed_until_s = now + r.shed_hold_s;
+    ++shed.window_consults;
+    if (miss) ++shed.window_misses;
+    if (shed.window_consults >= r.shed_miss_window) {
+      const double rate = static_cast<double>(shed.window_misses) /
+                          static_cast<double>(shed.window_consults);
+      if (shed.miss_shed == 0 && rate >= r.shed_miss_rate_threshold) {
+        shed.miss_shed = 1;
+        shed.shed_until_s = now + r.shed_hold_s;
         ++shard.region.policy_sheds;
       }
-      window_consults = 0;
-      window_misses = 0;
+      shed.window_consults = 0;
+      shed.window_misses = 0;
     }
   }
 
@@ -749,36 +681,9 @@ struct RegionSim {
     ckpt.live = live;
     Event e;
     while (pop_next(std::numeric_limits<double>::infinity(), e)) {
-      ckpt.events.push_back({e.t_s, e.session, e.kind, e.slot});
+      ckpt.events.push_back(e);
     }
-    FleetArenaState& a = ckpt.arena;
-    a.window = arena.window;
-    a.session = arena.session;
-    a.cell = arena.cell;
-    a.next_segment = arena.next_segment;
-    a.arrival_s = arena.arrival_s;
-    a.last_event_s = arena.last_event_s;
-    a.buffer_s = arena.buffer_s;
-    a.playing = arena.playing;
-    a.startup_s = arena.startup_s;
-    a.rebuffer_s = arena.rebuffer_s;
-    a.seg_rebuffer_s = arena.seg_rebuffer_s;
-    a.qoe_sum = arena.qoe_sum;
-    a.energy_j = arena.energy_j;
-    a.bitrate_sum = arena.bitrate_sum;
-    a.prev_bitrate = arena.prev_bitrate;
-    a.prev_level = arena.prev_level;
-    a.request_s = arena.request_s;
-    a.size_mb = arena.size_mb;
-    a.level_bitrate = arena.level_bitrate;
-    a.level = arena.level;
-    a.last_key = arena.last_key;
-    a.last_level = arena.last_level;
-    a.has_last = arena.has_last;
-    a.retries = arena.retries;
-    a.throughputs = arena.throughputs;
-    a.seen = arena.seen;
-    a.free_slots = arena.free_slots;
+    ckpt.arena = arena;
     ckpt.cell_active = cell_active;
     ckpt.metrics = shard.region;
     ckpt.qoe = shard.qoe.state();
@@ -791,80 +696,22 @@ struct RegionSim {
     ckpt.rebuffer_sample = shard.rebuffer_sample.state();
     ckpt.median_qoe = shard.median_qoe.state();
     ckpt.median_energy = shard.median_energy.state();
-    ckpt.shed = {static_cast<std::uint8_t>(live_shed ? 1 : 0),
-                 static_cast<std::uint8_t>(miss_shed ? 1 : 0), shed_until_s,
-                 window_consults, window_misses};
+    ckpt.shed = shed;
     if (cache) ckpt.cache = cache->export_state();
     return ckpt;
   }
 
-  /// Reinstates a region state captured at sim time `cut_s`. Throws
-  /// std::invalid_argument on an internally inconsistent checkpoint (wrong
-  /// region, wrong cell count, ragged arena vectors, pending arrivals that
-  /// are not the schedule's).
+  /// Reinstates a region state captured at sim time `cut_s`, after
+  /// check_restorable.
   void restore(const FleetRegionCheckpoint& ckpt, double cut_s) {
-    if (ckpt.region != region) {
-      throw std::invalid_argument("resume_fleet: checkpoint region mismatch");
-    }
-    if (ckpt.cell_active.size() != cell_count) {
-      throw std::invalid_argument(
-          "resume_fleet: checkpoint cell count mismatch");
-    }
-    const FleetArenaState& a = ckpt.arena;
-    if (a.window != arena.window) {
-      throw std::invalid_argument(
-          "resume_fleet: checkpoint bandwidth window mismatch");
-    }
-    const std::size_t slots = a.session.size();
-    const bool ragged =
-        a.cell.size() != slots || a.next_segment.size() != slots ||
-        a.arrival_s.size() != slots || a.last_event_s.size() != slots ||
-        a.buffer_s.size() != slots || a.playing.size() != slots ||
-        a.startup_s.size() != slots || a.rebuffer_s.size() != slots ||
-        a.seg_rebuffer_s.size() != slots || a.qoe_sum.size() != slots ||
-        a.energy_j.size() != slots || a.bitrate_sum.size() != slots ||
-        a.prev_bitrate.size() != slots || a.prev_level.size() != slots ||
-        a.request_s.size() != slots || a.size_mb.size() != slots ||
-        a.level_bitrate.size() != slots || a.level.size() != slots ||
-        a.last_key.size() != slots || a.last_level.size() != slots ||
-        a.has_last.size() != slots || a.retries.size() != slots ||
-        a.throughputs.size() != slots * a.window || a.seen.size() != slots;
-    if (ragged) {
-      throw std::invalid_argument(
-          "resume_fleet: ragged arena vectors in checkpoint");
-    }
-    arena.session = a.session;
-    arena.cell = a.cell;
-    arena.next_segment = a.next_segment;
-    arena.arrival_s = a.arrival_s;
-    arena.last_event_s = a.last_event_s;
-    arena.buffer_s = a.buffer_s;
-    arena.playing = a.playing;
-    arena.startup_s = a.startup_s;
-    arena.rebuffer_s = a.rebuffer_s;
-    arena.seg_rebuffer_s = a.seg_rebuffer_s;
-    arena.qoe_sum = a.qoe_sum;
-    arena.energy_j = a.energy_j;
-    arena.bitrate_sum = a.bitrate_sum;
-    arena.prev_bitrate = a.prev_bitrate;
-    arena.prev_level = a.prev_level;
-    arena.request_s = a.request_s;
-    arena.size_mb = a.size_mb;
-    arena.level_bitrate = a.level_bitrate;
-    arena.level = a.level;
-    arena.last_key = a.last_key;
-    arena.last_level = a.last_level;
-    arena.has_last = a.has_last;
-    arena.retries = a.retries;
-    arena.throughputs = a.throughputs;
-    arena.seen = a.seen;
-    arena.free_slots = a.free_slots;
+    check_restorable(ckpt);
+    static_cast<FleetArenaState&>(arena) = ckpt.arena;
     std::vector<Event> arrivals;  // captured pending arrivals, in pop order
-    for (const FleetEventState& e : ckpt.events) {
+    for (const Event& e : ckpt.events) {
       if (e.kind == kArrive) {
-        arrivals.push_back({e.t_s, e.session, e.kind, e.slot});
+        arrivals.push_back(e);
       } else {
-        heap.push({e.t_s, e.session, e.kind, e.slot});
+        heap.push(e);
       }
     }
     restore_arrivals(arrivals, cut_s);
@@ -881,12 +728,77 @@ struct RegionSim {
     shard.rebuffer_sample.restore(ckpt.rebuffer_sample);
     shard.median_qoe.restore(ckpt.median_qoe);
     shard.median_energy.restore(ckpt.median_energy);
-    live_shed = ckpt.shed.live_shed != 0;
-    miss_shed = ckpt.shed.miss_shed != 0;
-    shed_until_s = ckpt.shed.shed_until_s;
-    window_consults = ckpt.shed.window_consults;
-    window_misses = ckpt.shed.window_misses;
+    shed = ckpt.shed;
     if (cache) cache->restore_state(ckpt.cache);
+  }
+
+  /// A sidecar is outside input, and the resumed run follows every slot,
+  /// cell and rung index in it unchecked. Throws std::invalid_argument
+  /// unless the checkpoint is this region's (region, cell count, window),
+  /// its arena columns are all `slots` long, its free list is distinct
+  /// in-range slots, `live` counts the rest, every live slot's cell lies in
+  /// the region's block and its rungs and segment in the config, each live
+  /// slot is claimed by exactly one pending request or completion of its
+  /// own session, cache entries are on the ladder and the reservoirs have
+  /// the config's capacity.
+  void check_restorable(const FleetRegionCheckpoint& ckpt) const {
+    const auto reject = [](const char* what) {
+      throw std::invalid_argument(std::string("resume_fleet: checkpoint ") +
+                                  what);
+    };
+    if (ckpt.region != region) reject("region mismatch");
+    if (ckpt.cell_active.size() != cell_count) reject("cell count mismatch");
+    const FleetArenaState& a = ckpt.arena;
+    if (a.window != arena.window) reject("bandwidth window mismatch");
+    const std::size_t slots = a.session.size();
+    bool ragged = false;
+    for_each_column(a, [&](const auto& column, std::size_t per_slot) {
+      ragged = ragged || (per_slot > 0 && column.size() != slots * per_slot);
+    });
+    if (ragged) reject("has ragged arena vectors");
+    enum : std::uint8_t { kLive, kFree, kClaimed };
+    std::vector<std::uint8_t> state(slots, kLive);
+    for (const std::uint32_t slot : a.free_slots) {
+      if (slot >= slots || state[slot] != kLive) {
+        reject("free slot out of range or duplicated");
+      }
+      state[slot] = kFree;
+    }
+    if (ckpt.live != slots - a.free_slots.size()) {
+      reject("live count does not match the arena");
+    }
+    const std::size_t rungs = config.ladder_mbps.size();
+    for (std::size_t s = 0; s < slots; ++s) {
+      if (state[s] == kLive &&
+          (a.cell[s] < first_cell || a.cell[s] >= first_cell + cell_count ||
+           a.next_segment[s] >= config.segments_per_session ||
+           a.level[s] >= rungs || a.last_level[s] >= rungs ||
+           a.prev_level[s] < -1 ||
+           a.prev_level[s] >= static_cast<int>(rungs))) {
+        reject("live slot outside the region's cells or the ladder");
+      }
+    }
+    for (const FleetEventState& e : ckpt.events) {
+      if (e.kind > kComplete) reject("event of unknown kind");
+      if (e.kind == kArrive) continue;
+      if (e.slot >= slots || state[e.slot] != kLive ||
+          a.session[e.slot] != e.session) {
+        reject("event not on its session's live slot");
+      }
+      state[e.slot] = kClaimed;
+    }
+    if (std::find(state.begin(), state.end(), kLive) != state.end()) {
+      reject("live slot without a pending event");
+    }
+    for (const core::DecisionCacheState::Entry& entry : ckpt.cache.entries) {
+      if (entry.level >= rungs) reject("cache entry outside the ladder");
+    }
+    for (const ReservoirSamplerState* sample :
+         {&ckpt.qoe_sample, &ckpt.energy_sample, &ckpt.rebuffer_sample}) {
+      if (sample->capacity != config.reservoir_capacity) {
+        reject("reservoir capacity mismatch");
+      }
+    }
   }
 
   /// Folds captured pending arrivals back into the cursor. They must be
@@ -1002,41 +914,37 @@ std::size_t validate_fleet_config(const FleetConfig& config) {
   return config.regions;
 }
 
-/// The common driver: fresh start or checkpoint resume, then the serial
-/// region-order merge (bit-identical at any job count).
-FleetMetrics run_fleet_impl(const FleetConfig& config,
-                            const FleetCheckpoint* checkpoint) {
+/// The one fleet driver: validates the config, builds the models every
+/// region shares, and runs `unit(sim)` on each region's RegionSim. Regions
+/// are the parallel unit; each is pure in (config, region index, checkpoint
+/// region). Returns the units' results in region order.
+template <class Unit>
+auto run_regions(const FleetConfig& config, const Unit& unit) {
   const std::size_t regions = validate_fleet_config(config);
   const CellNetwork network(config.network);
   const qoe::QoeModel qoe_model(config.qoe);
   const power::PowerModel power_model(config.power);
   const FleetFaultModel faults(config.faults, network.num_cells());
-
-  if (checkpoint != nullptr) {
-    if (checkpoint->config_fingerprint != fleet_config_fingerprint(config)) {
-      throw std::invalid_argument(
-          "resume_fleet: checkpoint fingerprint does not match the config");
-    }
-    if (checkpoint->regions.size() != regions) {
-      throw std::invalid_argument(
-          "resume_fleet: checkpoint region count mismatch");
-    }
-  }
-
-  // Regions are the parallel unit; each is pure in (config, region index,
-  // checkpoint region).
-  const auto shards = util::parallel_map(
+  return util::parallel_map(
       config.exec.resolved_jobs(), regions, [&](std::size_t region) {
         RegionSim sim(config, network, qoe_model, power_model, faults, region,
                       regions);
-        if (checkpoint != nullptr) {
-          sim.restore(checkpoint->regions[region], checkpoint->checkpoint_t_s);
-        }
-        sim.run(std::numeric_limits<double>::infinity());
-        return sim.finish();
+        return unit(sim);
       });
+}
 
-  // Serial merge in region order: bit-identical at any job count.
+/// Runs every region to the end, from the start or from `checkpoint`, then
+/// merges the shards serially in region order: bit-identical at any job
+/// count.
+FleetMetrics run_to_end(const FleetConfig& config,
+                        const FleetCheckpoint* checkpoint) {
+  const std::vector<Shard> shards = run_regions(config, [&](RegionSim& sim) {
+    if (checkpoint != nullptr) {
+      sim.restore(checkpoint->regions[sim.region], checkpoint->checkpoint_t_s);
+    }
+    sim.run(std::numeric_limits<double>::infinity());
+    return sim.finish();
+  });
   FleetMetrics metrics;
   metrics.qoe_sample = ReservoirSampler(
       config.reservoir_capacity, seed_mix(config.seed, kReservoirLane, -3));
@@ -1081,7 +989,7 @@ void FleetCounters::merge(const FleetCounters& other) {
 }
 
 FleetMetrics run_fleet(const FleetConfig& config) {
-  return run_fleet_impl(config, nullptr);
+  return run_to_end(config, nullptr);
 }
 
 FleetCheckpoint run_fleet_until(const FleetConfig& config, double t_s) {
@@ -1089,28 +997,25 @@ FleetCheckpoint run_fleet_until(const FleetConfig& config, double t_s) {
     throw std::invalid_argument(
         "run_fleet_until: checkpoint time must be finite and > 0");
   }
-  const std::size_t regions = validate_fleet_config(config);
-  const CellNetwork network(config.network);
-  const qoe::QoeModel qoe_model(config.qoe);
-  const power::PowerModel power_model(config.power);
-  const FleetFaultModel faults(config.faults, network.num_cells());
-
-  FleetCheckpoint checkpoint;
-  checkpoint.config_fingerprint = fleet_config_fingerprint(config);
-  checkpoint.checkpoint_t_s = t_s;
-  checkpoint.regions = util::parallel_map(
-      config.exec.resolved_jobs(), regions, [&](std::size_t region) {
-        RegionSim sim(config, network, qoe_model, power_model, faults, region,
-                      regions);
-        sim.run(t_s);
-        return sim.capture();
-      });
-  return checkpoint;
+  return {.config_fingerprint = fleet_config_fingerprint(config),
+          .checkpoint_t_s = t_s,
+          .regions = run_regions(config, [&](RegionSim& sim) {
+            sim.run(t_s);
+            return sim.capture();
+          })};
 }
 
 FleetMetrics resume_fleet(const FleetConfig& config,
                           const FleetCheckpoint& checkpoint) {
-  return run_fleet_impl(config, &checkpoint);
+  if (checkpoint.config_fingerprint != fleet_config_fingerprint(config)) {
+    throw std::invalid_argument(
+        "resume_fleet: checkpoint fingerprint does not match the config");
+  }
+  if (checkpoint.regions.size() != config.regions) {
+    throw std::invalid_argument(
+        "resume_fleet: checkpoint region count mismatch");
+  }
+  return run_to_end(config, &checkpoint);
 }
 
 }  // namespace eacs::sim

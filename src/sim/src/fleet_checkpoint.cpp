@@ -1,10 +1,13 @@
 #include "eacs/sim/fleet_checkpoint.h"
 
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <vector>
 
 namespace eacs::sim {
 namespace {
@@ -164,233 +167,167 @@ namespace {
 // ---------------------------------------------------------------------------
 // Sidecar token stream. Every value is one decimal u64 token; doubles are
 // written as their IEEE-754 bit patterns (std::bit_cast), signed integers in
-// two's complement — exact, portable, diffable.
+// two's complement — exact, portable, diffable. A vector is its size token
+// followed by its elements; a std::array is its elements alone.
+//
+// Each state type has one io() listing its fields. Their order is the
+// format, and the same list serves the Writer and the Reader.
+
+template <class Io>
+void io(Io& fields, RngState& s) {
+  fields(s.words, s.cached_normal, s.has_cached_normal);
+}
+template <class Io>
+void io(Io& fields, RunningStatsState& s) {
+  fields(s.count, s.mean, s.m2, s.sum, s.min, s.max);
+}
+template <class Io>
+void io(Io& fields, ReservoirSamplerState& s) {
+  fields(s.capacity, s.count, s.rng, s.items);
+}
+template <class Io>
+void io(Io& fields, P2QuantileState& s) {
+  fields(s.p, s.count, s.heights, s.positions, s.desired, s.increments);
+}
+template <class Io>
+void io(Io& fields, core::DecisionKey& k) {
+  fields(k.ladder_id, k.alpha_bits, k.buffer, k.bandwidth, k.vibration,
+         k.confidence, k.signal, k.remaining, k.prev_level);
+}
+template <class Io>
+void io(Io& fields, core::CostStats& s) {
+  fields(s.qoe_model_evals, s.power_model_evals, s.edge_evals, s.tables_built,
+         s.plans, s.cache_hits, s.cache_misses, s.cache_evictions);
+}
+template <class Io>
+void io(Io& fields, FleetRegionMetrics& m) {
+  fields(m.region, m.first_cell, m.num_cells, m.sessions, m.events,
+         m.requests, m.handoffs, m.stall_events, m.peak_live_sessions,
+         m.escape_handoffs, m.backoff_retries, m.abandoned_sessions,
+         m.policy_sheds, m.policy_recoveries, m.shed_decisions,
+         m.degraded_time_s, m.wasted_energy_j, m.median_qoe,
+         m.median_energy_j, m.planner);
+}
+template <class Io>
+void io(Io& fields, core::DecisionCacheStats& s) {
+  fields(s.hits, s.misses, s.evictions);
+}
+template <class Io>
+void io(Io& fields, core::DecisionCacheState::Entry& e) {
+  fields(e.slot, e.key, e.level);
+}
+template <class Io>
+void io(Io& fields, core::DecisionCacheState& c) {
+  fields(c.stats, c.entries);
+}
+template <class Io>
+void io(Io& fields, FleetEventState& e) {
+  fields(e.t_s, e.session, e.kind, e.slot);
+}
+template <class Io>
+void io(Io& fields, FleetArenaState& a) {
+  fields(a.window);
+  for_each_column(a, [&](auto& column, std::size_t) { fields(column); });
+}
+template <class Io>
+void io(Io& fields, FleetShedState& s) {
+  fields(s.live_shed, s.miss_shed, s.shed_until_s, s.window_consults,
+         s.window_misses);
+}
+template <class Io>
+void io(Io& fields, FleetRegionCheckpoint& r) {
+  fields(r.region, r.live, r.events, r.arena, r.cell_active, r.metrics, r.qoe,
+         r.energy_j, r.bitrate_mbps, r.rebuffer_s, r.startup_s, r.qoe_sample,
+         r.energy_sample, r.rebuffer_sample, r.median_qoe, r.median_energy,
+         r.shed, r.cache);
+}
+template <class Io>
+void io(Io& fields, FleetCheckpoint& c) {
+  fields(c.config_fingerprint, c.checkpoint_t_s, c.regions);
+}
 
 struct Writer {
   std::ostream& out;
 
-  void u64(std::uint64_t v) { out << v << '\n'; }
-  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void sz(std::size_t v) { u64(static_cast<std::uint64_t>(v)); }
-
-  void f64s(const std::vector<double>& xs) {
-    sz(xs.size());
-    for (const double x : xs) f64(x);
-  }
-  void u8s(const std::vector<std::uint8_t>& xs) {
-    sz(xs.size());
-    for (const std::uint8_t x : xs) u64(x);
-  }
-  void u32s(const std::vector<std::uint32_t>& xs) {
-    sz(xs.size());
-    for (const std::uint32_t x : xs) u64(x);
-  }
-  void ints(const std::vector<int>& xs) {
-    sz(xs.size());
-    for (const int x : xs) i64(x);
-  }
-  void szs(const std::vector<std::size_t>& xs) {
-    sz(xs.size());
-    for (const std::size_t x : xs) sz(x);
+  template <class... Ts>
+  void operator()(Ts&... xs) {
+    (put(xs), ...);
   }
 
-  void running(const RunningStatsState& s) {
-    sz(s.count);
-    f64(s.mean);
-    f64(s.m2);
-    f64(s.sum);
-    f64(s.min);
-    f64(s.max);
+  void token(std::uint64_t v) { out << v << '\n'; }
+
+  template <class T>
+  void put(T& x) {
+    if constexpr (std::is_floating_point_v<T>) {
+      token(std::bit_cast<std::uint64_t>(x));
+    } else if constexpr (std::is_integral_v<T>) {
+      token(static_cast<std::uint64_t>(x));
+    } else {
+      io(*this, x);
+    }
   }
-  void rng(const RngState& s) {
-    for (const std::uint64_t w : s.words) u64(w);
-    f64(s.cached_normal);
-    u64(s.has_cached_normal ? 1 : 0);
+  template <class T>
+  void put(std::vector<T>& xs) {
+    token(xs.size());
+    for (T& x : xs) put(x);
   }
-  void reservoir(const ReservoirSamplerState& s) {
-    sz(s.capacity);
-    sz(s.count);
-    rng(s.rng);
-    f64s(s.items);
-  }
-  void p2(const P2QuantileState& s) {
-    f64(s.p);
-    sz(s.count);
-    for (const double v : s.heights) f64(v);
-    for (const double v : s.positions) f64(v);
-    for (const double v : s.desired) f64(v);
-    for (const double v : s.increments) f64(v);
-  }
-  void key(const core::DecisionKey& k) {
-    u64(k.ladder_id);
-    u64(k.alpha_bits);
-    i64(k.buffer);
-    i64(k.bandwidth);
-    i64(k.vibration);
-    i64(k.confidence);
-    i64(k.signal);
-    i64(k.remaining);
-    i64(k.prev_level);
-  }
-  void cost(const core::CostStats& s) {
-    u64(s.qoe_model_evals);
-    u64(s.power_model_evals);
-    u64(s.edge_evals);
-    u64(s.tables_built);
-    u64(s.plans);
-    u64(s.cache_hits);
-    u64(s.cache_misses);
-    u64(s.cache_evictions);
-  }
-  void metrics(const FleetRegionMetrics& m) {
-    sz(m.region);
-    sz(m.first_cell);
-    sz(m.num_cells);
-    sz(m.sessions);
-    sz(m.events);
-    sz(m.requests);
-    sz(m.handoffs);
-    sz(m.stall_events);
-    sz(m.peak_live_sessions);
-    sz(m.escape_handoffs);
-    sz(m.backoff_retries);
-    sz(m.abandoned_sessions);
-    sz(m.policy_sheds);
-    sz(m.policy_recoveries);
-    sz(m.shed_decisions);
-    f64(m.degraded_time_s);
-    f64(m.wasted_energy_j);
-    f64(m.median_qoe);
-    f64(m.median_energy_j);
-    cost(m.planner);
+  template <class T, std::size_t N>
+  void put(std::array<T, N>& xs) {
+    for (T& x : xs) put(x);
   }
 };
 
 struct Reader {
   std::istream& in;
+  std::uint64_t size_bytes;  ///< of the whole file
 
-  std::uint64_t u64() {
+  template <class... Ts>
+  void operator()(Ts&... xs) {
+    (get(xs), ...);
+  }
+
+  std::uint64_t token() {
     std::uint64_t v = 0;
-    if (!(in >> v)) {
-      throw std::runtime_error(
-          "load_fleet_checkpoint: truncated or malformed checkpoint");
-    }
+    if (!(in >> v)) malformed();
     return v;
   }
-  double f64() { return std::bit_cast<double>(u64()); }
-  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  std::size_t sz() { return static_cast<std::size_t>(u64()); }
-
-  std::vector<double> f64s() {
-    std::vector<double> xs(sz());
-    for (double& x : xs) x = f64();
-    return xs;
-  }
-  std::vector<std::uint8_t> u8s() {
-    std::vector<std::uint8_t> xs(sz());
-    for (std::uint8_t& x : xs) x = static_cast<std::uint8_t>(u64());
-    return xs;
-  }
-  std::vector<std::uint32_t> u32s() {
-    std::vector<std::uint32_t> xs(sz());
-    for (std::uint32_t& x : xs) x = static_cast<std::uint32_t>(u64());
-    return xs;
-  }
-  std::vector<int> ints() {
-    std::vector<int> xs(sz());
-    for (int& x : xs) x = static_cast<int>(i64());
-    return xs;
-  }
-  std::vector<std::size_t> szs() {
-    std::vector<std::size_t> xs(sz());
-    for (std::size_t& x : xs) x = sz();
-    return xs;
+  [[noreturn]] static void malformed() {
+    throw std::runtime_error(
+        "load_fleet_checkpoint: truncated or malformed checkpoint");
   }
 
-  RunningStatsState running() {
-    RunningStatsState s;
-    s.count = sz();
-    s.mean = f64();
-    s.m2 = f64();
-    s.sum = f64();
-    s.min = f64();
-    s.max = f64();
-    return s;
+  template <class T>
+  void get(T& x) {
+    if constexpr (std::is_floating_point_v<T>) {
+      x = std::bit_cast<T>(token());
+    } else if constexpr (std::is_integral_v<T>) {
+      // A token must be the Writer's encoding of the value it decodes to,
+      // so an out-of-range one is refused rather than truncated.
+      const std::uint64_t v = token();
+      x = static_cast<T>(v);
+      if (static_cast<std::uint64_t>(x) != v) malformed();
+    } else {
+      io(*this, x);
+    }
   }
-  RngState rng() {
-    RngState s;
-    for (std::uint64_t& w : s.words) w = u64();
-    s.cached_normal = f64();
-    s.has_cached_normal = u64() != 0;
-    return s;
+  /// Every element is at least one token, and every token after the size
+  /// is at least two bytes (a separator and a digit): a size above half the
+  /// bytes left is refused before anything is allocated.
+  template <class T>
+  void get(std::vector<T>& xs) {
+    const std::uint64_t n = token();
+    const std::streamoff at = in.tellg();
+    if (n > 0 &&
+        (at < 0 || n > (size_bytes - static_cast<std::uint64_t>(at)) / 2)) {
+      malformed();
+    }
+    xs.clear();
+    if constexpr (std::is_arithmetic_v<T>) xs.reserve(n);
+    while (xs.size() < n) get(xs.emplace_back());
   }
-  ReservoirSamplerState reservoir() {
-    ReservoirSamplerState s;
-    s.capacity = sz();
-    s.count = sz();
-    s.rng = rng();
-    s.items = f64s();
-    return s;
-  }
-  P2QuantileState p2() {
-    P2QuantileState s;
-    s.p = f64();
-    s.count = sz();
-    for (double& v : s.heights) v = f64();
-    for (double& v : s.positions) v = f64();
-    for (double& v : s.desired) v = f64();
-    for (double& v : s.increments) v = f64();
-    return s;
-  }
-  core::DecisionKey key() {
-    core::DecisionKey k;
-    k.ladder_id = u64();
-    k.alpha_bits = u64();
-    k.buffer = i64();
-    k.bandwidth = i64();
-    k.vibration = i64();
-    k.confidence = i64();
-    k.signal = i64();
-    k.remaining = i64();
-    k.prev_level = i64();
-    return k;
-  }
-  core::CostStats cost() {
-    core::CostStats s;
-    s.qoe_model_evals = u64();
-    s.power_model_evals = u64();
-    s.edge_evals = u64();
-    s.tables_built = u64();
-    s.plans = u64();
-    s.cache_hits = u64();
-    s.cache_misses = u64();
-    s.cache_evictions = u64();
-    return s;
-  }
-  FleetRegionMetrics metrics() {
-    FleetRegionMetrics m;
-    m.region = sz();
-    m.first_cell = sz();
-    m.num_cells = sz();
-    m.sessions = sz();
-    m.events = sz();
-    m.requests = sz();
-    m.handoffs = sz();
-    m.stall_events = sz();
-    m.peak_live_sessions = sz();
-    m.escape_handoffs = sz();
-    m.backoff_retries = sz();
-    m.abandoned_sessions = sz();
-    m.policy_sheds = sz();
-    m.policy_recoveries = sz();
-    m.shed_decisions = sz();
-    m.degraded_time_s = f64();
-    m.wasted_energy_j = f64();
-    m.median_qoe = f64();
-    m.median_energy_j = f64();
-    m.planner = cost();
-    return m;
+  template <class T, std::size_t N>
+  void get(std::array<T, N>& xs) {
+    for (T& x : xs) get(x);
   }
 };
 
@@ -403,76 +340,8 @@ void save_fleet_checkpoint(const FleetCheckpoint& checkpoint,
     throw std::runtime_error("save_fleet_checkpoint: cannot open " + path);
   }
   out << kMagic << ' ' << kVersion << '\n';
-  Writer w{out};
-  w.u64(checkpoint.config_fingerprint);
-  w.f64(checkpoint.checkpoint_t_s);
-  w.sz(checkpoint.regions.size());
-  for (const FleetRegionCheckpoint& r : checkpoint.regions) {
-    w.sz(r.region);
-    w.sz(r.live);
-    w.sz(r.events.size());
-    for (const FleetEventState& e : r.events) {
-      w.f64(e.t_s);
-      w.i64(e.session);
-      w.u64(e.kind);
-      w.u64(e.slot);
-    }
-    const FleetArenaState& a = r.arena;
-    w.sz(a.window);
-    w.ints(a.session);
-    w.szs(a.cell);
-    w.szs(a.next_segment);
-    w.f64s(a.arrival_s);
-    w.f64s(a.last_event_s);
-    w.f64s(a.buffer_s);
-    w.u8s(a.playing);
-    w.f64s(a.startup_s);
-    w.f64s(a.rebuffer_s);
-    w.f64s(a.seg_rebuffer_s);
-    w.f64s(a.qoe_sum);
-    w.f64s(a.energy_j);
-    w.f64s(a.bitrate_sum);
-    w.f64s(a.prev_bitrate);
-    w.ints(a.prev_level);
-    w.f64s(a.request_s);
-    w.f64s(a.size_mb);
-    w.f64s(a.level_bitrate);
-    w.u32s(a.level);
-    w.sz(a.last_key.size());
-    for (const core::DecisionKey& k : a.last_key) w.key(k);
-    w.u32s(a.last_level);
-    w.u8s(a.has_last);
-    w.u32s(a.retries);
-    w.f64s(a.throughputs);
-    w.szs(a.seen);
-    w.u32s(a.free_slots);
-    w.szs(r.cell_active);
-    w.metrics(r.metrics);
-    w.running(r.qoe);
-    w.running(r.energy_j);
-    w.running(r.bitrate_mbps);
-    w.running(r.rebuffer_s);
-    w.running(r.startup_s);
-    w.reservoir(r.qoe_sample);
-    w.reservoir(r.energy_sample);
-    w.reservoir(r.rebuffer_sample);
-    w.p2(r.median_qoe);
-    w.p2(r.median_energy);
-    w.u64(r.shed.live_shed);
-    w.u64(r.shed.miss_shed);
-    w.f64(r.shed.shed_until_s);
-    w.u64(r.shed.window_consults);
-    w.u64(r.shed.window_misses);
-    w.u64(r.cache.stats.hits);
-    w.u64(r.cache.stats.misses);
-    w.u64(r.cache.stats.evictions);
-    w.sz(r.cache.entries.size());
-    for (const core::DecisionCacheState::Entry& e : r.cache.entries) {
-      w.sz(e.slot);
-      w.key(e.key);
-      w.u64(e.level);
-    }
-  }
+  // The Writer only reads through the non-const reference io() takes.
+  Writer{out}(const_cast<FleetCheckpoint&>(checkpoint));
   out.flush();
   if (!out.good()) {
     throw std::runtime_error("save_fleet_checkpoint: write failed on " + path);
@@ -480,87 +349,21 @@ void save_fleet_checkpoint(const FleetCheckpoint& checkpoint,
 }
 
 FleetCheckpoint load_fleet_checkpoint(const std::string& path) {
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::ate);
   if (!in) {
     throw std::runtime_error("load_fleet_checkpoint: cannot open " + path);
   }
+  const std::streamoff size_bytes = in.tellg();
+  in.seekg(0);
   std::string magic;
   std::uint64_t version = 0;
-  if (!(in >> magic >> version) || magic != kMagic || version != kVersion) {
+  if (size_bytes < 0 || !(in >> magic >> version) || magic != kMagic ||
+      version != kVersion) {
     throw std::runtime_error(
         "load_fleet_checkpoint: bad magic or unsupported version in " + path);
   }
-  Reader rd{in};
   FleetCheckpoint checkpoint;
-  checkpoint.config_fingerprint = rd.u64();
-  checkpoint.checkpoint_t_s = rd.f64();
-  checkpoint.regions.resize(rd.sz());
-  for (FleetRegionCheckpoint& r : checkpoint.regions) {
-    r.region = rd.sz();
-    r.live = rd.sz();
-    r.events.resize(rd.sz());
-    for (FleetEventState& e : r.events) {
-      e.t_s = rd.f64();
-      e.session = static_cast<int>(rd.i64());
-      e.kind = static_cast<std::uint8_t>(rd.u64());
-      e.slot = static_cast<std::uint32_t>(rd.u64());
-    }
-    FleetArenaState& a = r.arena;
-    a.window = rd.sz();
-    a.session = rd.ints();
-    a.cell = rd.szs();
-    a.next_segment = rd.szs();
-    a.arrival_s = rd.f64s();
-    a.last_event_s = rd.f64s();
-    a.buffer_s = rd.f64s();
-    a.playing = rd.u8s();
-    a.startup_s = rd.f64s();
-    a.rebuffer_s = rd.f64s();
-    a.seg_rebuffer_s = rd.f64s();
-    a.qoe_sum = rd.f64s();
-    a.energy_j = rd.f64s();
-    a.bitrate_sum = rd.f64s();
-    a.prev_bitrate = rd.f64s();
-    a.prev_level = rd.ints();
-    a.request_s = rd.f64s();
-    a.size_mb = rd.f64s();
-    a.level_bitrate = rd.f64s();
-    a.level = rd.u32s();
-    a.last_key.resize(rd.sz());
-    for (core::DecisionKey& k : a.last_key) k = rd.key();
-    a.last_level = rd.u32s();
-    a.has_last = rd.u8s();
-    a.retries = rd.u32s();
-    a.throughputs = rd.f64s();
-    a.seen = rd.szs();
-    a.free_slots = rd.u32s();
-    r.cell_active = rd.szs();
-    r.metrics = rd.metrics();
-    r.qoe = rd.running();
-    r.energy_j = rd.running();
-    r.bitrate_mbps = rd.running();
-    r.rebuffer_s = rd.running();
-    r.startup_s = rd.running();
-    r.qoe_sample = rd.reservoir();
-    r.energy_sample = rd.reservoir();
-    r.rebuffer_sample = rd.reservoir();
-    r.median_qoe = rd.p2();
-    r.median_energy = rd.p2();
-    r.shed.live_shed = static_cast<std::uint8_t>(rd.u64());
-    r.shed.miss_shed = static_cast<std::uint8_t>(rd.u64());
-    r.shed.shed_until_s = rd.f64();
-    r.shed.window_consults = rd.u64();
-    r.shed.window_misses = rd.u64();
-    r.cache.stats.hits = rd.u64();
-    r.cache.stats.misses = rd.u64();
-    r.cache.stats.evictions = rd.u64();
-    r.cache.entries.resize(rd.sz());
-    for (core::DecisionCacheState::Entry& e : r.cache.entries) {
-      e.slot = rd.sz();
-      e.key = rd.key();
-      e.level = static_cast<std::uint32_t>(rd.u64());
-    }
-  }
+  Reader{in, static_cast<std::uint64_t>(size_bytes)}(checkpoint);
   return checkpoint;
 }
 

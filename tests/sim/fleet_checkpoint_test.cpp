@@ -6,7 +6,9 @@
 // degenerate ones (before the first arrival, after the drain). The sidecar
 // file round-trips the checkpoint exactly, and the config fingerprint
 // refuses to resume under a config that would silently diverge.
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -14,6 +16,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -201,22 +204,9 @@ TEST(FleetCheckpointTest, SidecarRoundTripsBitExactly) {
   const FleetCheckpoint loaded = load_fleet_checkpoint(path);
   std::remove(path.c_str());
 
-  EXPECT_EQ(loaded.config_fingerprint, checkpoint.config_fingerprint);
-  EXPECT_EQ(loaded.checkpoint_t_s, checkpoint.checkpoint_t_s);
-  ASSERT_EQ(loaded.regions.size(), checkpoint.regions.size());
-  for (std::size_t r = 0; r < loaded.regions.size(); ++r) {
-    const auto& a = loaded.regions[r];
-    const auto& b = checkpoint.regions[r];
-    EXPECT_EQ(a.live, b.live);
-    EXPECT_EQ(a.events, b.events);     // bit-exact doubles via bit_cast
-    EXPECT_EQ(a.arena, b.arena);       // every SoA vector, field for field
-    EXPECT_EQ(a.cell_active, b.cell_active);
-    EXPECT_EQ(a.qoe, b.qoe);
-    EXPECT_EQ(a.qoe_sample, b.qoe_sample);  // reservoir incl. Rng engine
-    EXPECT_EQ(a.median_qoe, b.median_qoe);  // P^2 markers
-    EXPECT_EQ(a.shed, b.shed);
-    EXPECT_EQ(a.cache.entries, b.cache.entries);
-  }
+  // Every field of every region: events, arena, aggregator internals
+  // (reservoir Rng engines, P^2 markers), shed state, cache and metrics.
+  EXPECT_EQ(loaded, checkpoint);
 
   // And the loaded checkpoint resumes to the uninterrupted result.
   expect_metrics_eq(resume_fleet(config, loaded), run_fleet(config));
@@ -252,6 +242,69 @@ TEST(FleetCheckpointTest, LoadRejectsMissingTruncatedAndForeignFiles) {
     out.close();
     EXPECT_THROW(load_fleet_checkpoint(truncated), std::runtime_error);
     std::remove(truncated.c_str());
+  }
+}
+
+/// Writes `text` to a temporary sidecar and loads it.
+FleetCheckpoint load_text(const std::string& name, const std::string& text) {
+  const std::string path =
+      (std::filesystem::path(::testing::TempDir()) / name).string();
+  {
+    std::ofstream out(path);
+    out << text;
+  }
+  struct Remove {
+    std::string path;
+    ~Remove() { std::remove(path.c_str()); }
+  } remove{path};
+  return load_fleet_checkpoint(path);
+}
+
+TEST(FleetCheckpointTest, LoadRejectsCountsBeyondTheFile) {
+  // A count token larger than the rest of the file can hold is malformed
+  // input: load must throw std::runtime_error before allocating for it, not
+  // std::length_error or std::bad_alloc.
+  const std::string head = "EACS_FLEET_CKPT 1\n1\n4629700416936869888\n";
+  const std::string one_region = head + "1\n0\n0\n";
+  for (const auto& [name, text] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"regions_max.ckpt", head + "18446744073709551615\n"},
+           {"regions_1e8.ckpt", head + "100000000\n0\n0\n"},
+           {"events_2p62.ckpt", one_region + "4611686018427387904\n0\n"},
+           {"column_max.ckpt",
+            one_region + "0\n1\n18446744073709551615\n0\n"}}) {
+    EXPECT_THROW(load_text(name, text), std::runtime_error) << name;
+  }
+}
+
+TEST(FleetCheckpointTest, LoadRejectsTokensOutsideTheirField) {
+  // A token that does not fit its field is malformed, not truncated into
+  // range (257 would read as event kind 1, 2^32 as session 0).
+  const std::string path =
+      (std::filesystem::path(::testing::TempDir()) / "fleet_ckpt_range.txt")
+          .string();
+  save_fleet_checkpoint(run_fleet_until(small_fleet(), 30.0), path);
+  std::vector<std::string> tokens;
+  {
+    std::ifstream in(path);
+    for (std::string token; in >> token;) tokens.push_back(token);
+  }
+  std::remove(path.c_str());
+  // magic, version, fingerprint, cut, regions, region, live, events, then
+  // the first event's t_s, session, kind, slot.
+  ASSERT_GT(tokens.size(), 11U);
+  ASSERT_EQ(tokens[4], "4");  // regions
+  ASSERT_NE(tokens[7], "0");  // region 0 has pending events
+  for (const auto& [index, value] :
+       std::vector<std::pair<std::size_t, std::string>>{
+           {10, "257"}, {9, "4294967296"}}) {
+    std::vector<std::string> tampered = tokens;
+    tampered[index] = value;
+    std::string text;
+    for (const std::string& token : tampered) text += token + "\n";
+    EXPECT_THROW(load_text("fleet_ckpt_range_tampered.txt", text),
+                 std::runtime_error)
+        << "token " << index << " = " << value;
   }
 }
 
@@ -303,6 +356,225 @@ TEST(FleetCheckpointTest, RestoreRejectsTamperedPendingArrivals) {
 
   // The untouched checkpoint still resumes to the uninterrupted result.
   expect_metrics_eq(resume_fleet(config, checkpoint), run_fleet(config));
+}
+
+/// small_fleet() with 30-segment sessions cut at 30 s: every region holds
+/// live sessions with pending requests or completions.
+struct LiveCut {
+  explicit LiveCut(FleetPolicy policy = FleetPolicy::kThroughput) {
+    config.segments_per_session = 30;
+    config.policy = policy;
+    checkpoint = run_fleet_until(config, 30.0);
+  }
+
+  FleetConfig config = small_fleet();
+  FleetCheckpoint checkpoint;
+
+  /// Region 0's first pending request or completion.
+  FleetEventState& live_event(FleetCheckpoint& c) const {
+    for (FleetEventState& e : c.regions[0].events) {
+      if (e.kind != 0) return e;
+    }
+    throw std::logic_error("no live event in region 0");
+  }
+};
+
+TEST(FleetCheckpointTest, RestoreRejectsUnknownEventKind) {
+  const LiveCut cut;
+  FleetCheckpoint tampered = cut.checkpoint;
+  cut.live_event(tampered).kind = 7;
+  EXPECT_THROW(resume_fleet(cut.config, tampered), std::invalid_argument);
+  expect_metrics_eq(resume_fleet(cut.config, cut.checkpoint),
+                    run_fleet(cut.config));
+}
+
+TEST(FleetCheckpointTest, RestoreRejectsEventOffItsSessionsSlot) {
+  const LiveCut cut;
+  {
+    FleetCheckpoint tampered = cut.checkpoint;
+    cut.live_event(tampered).slot = 1000000;
+    EXPECT_THROW(resume_fleet(cut.config, tampered), std::invalid_argument);
+  }
+  {
+    // The slot is freed (and live kept consistent) but its event remains.
+    FleetCheckpoint tampered = cut.checkpoint;
+    const std::uint32_t slot = cut.live_event(tampered).slot;
+    tampered.regions[0].arena.free_slots.push_back(slot);
+    --tampered.regions[0].live;
+    EXPECT_THROW(resume_fleet(cut.config, tampered), std::invalid_argument);
+  }
+  {
+    FleetCheckpoint tampered = cut.checkpoint;
+    FleetEventState& event = cut.live_event(tampered);
+    event.session += static_cast<int>(cut.config.regions);
+    EXPECT_THROW(resume_fleet(cut.config, tampered), std::invalid_argument);
+  }
+}
+
+TEST(FleetCheckpointTest, RestoreRejectsLiveSlotCellOutsideRegion) {
+  const LiveCut cut;
+  for (const std::size_t cell : {std::size_t{1000000}, std::size_t{7}}) {
+    FleetCheckpoint tampered = cut.checkpoint;
+    const std::uint32_t slot = cut.live_event(tampered).slot;
+    tampered.regions[0].arena.cell[slot] = cell;  // region 0 owns cells 0-1
+    EXPECT_THROW(resume_fleet(cut.config, tampered), std::invalid_argument)
+        << "cell " << cell;
+  }
+}
+
+TEST(FleetCheckpointTest, RestoreRejectsBadFreeList) {
+  const LiveCut cut;
+  {
+    FleetCheckpoint tampered = cut.checkpoint;
+    tampered.regions[0].arena.free_slots.push_back(1000000);
+    EXPECT_THROW(resume_fleet(cut.config, tampered), std::invalid_argument);
+  }
+  {
+    // A duplicated free slot, with live adjusted as if it were distinct.
+    FleetCheckpoint tampered = cut.checkpoint;
+    FleetRegionCheckpoint& region = tampered.regions[0];
+    if (region.arena.free_slots.empty()) {
+      region.arena.free_slots.push_back(cut.live_event(tampered).slot);
+      --region.live;
+    }
+    region.arena.free_slots.push_back(region.arena.free_slots.back());
+    --region.live;
+    EXPECT_THROW(resume_fleet(cut.config, tampered), std::invalid_argument);
+  }
+}
+
+TEST(FleetCheckpointTest, RestoreRejectsLiveCountMismatch) {
+  const LiveCut cut;
+  ASSERT_GT(cut.checkpoint.regions[0].live, 0U);
+  for (const int delta : {-1, 1}) {
+    FleetCheckpoint tampered = cut.checkpoint;
+    tampered.regions[0].live += static_cast<std::size_t>(delta);
+    EXPECT_THROW(resume_fleet(cut.config, tampered), std::invalid_argument)
+        << "delta " << delta;
+  }
+}
+
+TEST(FleetCheckpointTest, RestoreRejectsRungsAndCapacitiesOutsideTheConfig) {
+  // The resumed run indexes the ladder with a live slot's rungs and cache
+  // entries, the planner's horizon table with its segments left, and
+  // reserves a reservoir's capacity: each must fit the config.
+  const LiveCut cut(FleetPolicy::kPlanner);
+  ASSERT_FALSE(cut.checkpoint.regions[0].cache.entries.empty());
+  const std::vector<std::pair<const char*, void (*)(FleetRegionCheckpoint&,
+                                                   std::uint32_t)>>
+      edits = {
+          {"level",
+           [](FleetRegionCheckpoint& r, std::uint32_t s) {
+             r.arena.level[s] = 1000000;
+           }},
+          {"last_level",
+           [](FleetRegionCheckpoint& r, std::uint32_t s) {
+             r.arena.last_level[s] = 1000000;
+           }},
+          {"prev_level high",
+           [](FleetRegionCheckpoint& r, std::uint32_t s) {
+             r.arena.prev_level[s] = 1000000;
+           }},
+          {"prev_level low",
+           [](FleetRegionCheckpoint& r, std::uint32_t s) {
+             r.arena.prev_level[s] = -2;
+           }},
+          {"next_segment",
+           [](FleetRegionCheckpoint& r, std::uint32_t s) {
+             r.arena.next_segment[s] = 30;
+           }},
+          {"cache entry level",
+           [](FleetRegionCheckpoint& r, std::uint32_t) {
+             r.cache.entries.front().level = 1000000;
+           }},
+          {"reservoir capacity",
+           [](FleetRegionCheckpoint& r, std::uint32_t) {
+             r.qoe_sample.capacity = std::size_t{1} << 62;
+           }},
+      };
+  for (const auto& [name, edit] : edits) {
+    FleetCheckpoint tampered = cut.checkpoint;
+    edit(tampered.regions[0], cut.live_event(tampered).slot);
+    EXPECT_THROW(resume_fleet(cut.config, tampered), std::invalid_argument)
+        << name;
+  }
+}
+
+/// FNV-1a (64-bit) over a file's bytes.
+std::uint64_t file_digest(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (char c; in.get(c);) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x00000100000001b3ULL;
+  }
+  return h;
+}
+
+/// The FleetConfig `sim_cli --fleet --sessions 1000 --cells 16 --regions N
+/// --fleet-faults --policy planner` builds (examples/sim_cli.cpp).
+FleetConfig cli_faulted_planner_fleet(std::size_t regions) {
+  FleetConfig config;
+  config.network.num_cells = 16;
+  config.num_sessions = 1000;
+  config.regions = regions;
+  config.policy = FleetPolicy::kPlanner;
+  SeededFaultConfig& seeded = config.faults.seeded;
+  seeded.horizon_s =
+      static_cast<double>(config.num_sessions) / config.arrival_rate_per_s +
+      300.0;
+  seeded.epoch_s = 60.0;
+  seeded.domain_cells =
+      std::max<std::size_t>(config.network.num_cells / (2 * regions), 1);
+  seeded.outage_prob = 0.25;
+  seeded.outage_duration_s = 45.0;
+  seeded.brownout_prob = 0.35;
+  seeded.brownout_factor = 0.4;
+  seeded.collapse_prob = 0.35;
+  seeded.collapse_db = -18.0;
+  seeded.surge_prob = 0.3;
+  seeded.surge_multiplier = 3.0;
+  return config;
+}
+
+/// sim_cli's machine-parsable counter line.
+std::string counter_line(const FleetMetrics& m) {
+  char line[512];
+  std::snprintf(line, sizeof(line),
+                "fleet-counters: events=%zu requests=%zu handoffs=%zu "
+                "stalls=%zu sessions=%zu abandoned=%zu escapes=%zu "
+                "retries=%zu sheds=%zu recoveries=%zu shed_decisions=%zu",
+                m.events, m.requests, m.handoffs, m.stall_events, m.sessions,
+                m.abandoned_sessions, m.escape_handoffs, m.backoff_retries,
+                m.policy_sheds, m.policy_recoveries, m.shed_decisions);
+  return line;
+}
+
+TEST(FleetCheckpointTest, KillAndResumeMatchesPinnedCounters) {
+  // The CI kill-and-resume smoke, in-process: a 1k-session faulted planner
+  // fleet cut at 120 s, saved, loaded and resumed at 8 jobs must print the
+  // pinned counters, as must the uninterrupted run at 2 jobs. The sidecar's
+  // size and digest pin the codec's bytes.
+  const std::string pin =
+      "fleet-counters: events=63214 requests=30000 handoffs=1305 "
+      "stalls=4481 sessions=1000 abandoned=0 escapes=270 retries=993 "
+      "sheds=0 recoveries=0 shed_decisions=0";
+  FleetConfig config = cli_faulted_planner_fleet(4);
+  const std::string path =
+      (std::filesystem::path(::testing::TempDir()) / "fleet_cli.ckpt")
+          .string();
+  save_fleet_checkpoint(run_fleet_until(config, 120.0), path);
+  EXPECT_EQ(std::filesystem::file_size(path), 346572U);
+  EXPECT_EQ(file_digest(path), 0x2b0a5909a58ddf3bULL);
+  const FleetCheckpoint loaded = load_fleet_checkpoint(path);
+  std::remove(path.c_str());
+
+  config.exec = ExecutionPolicy{8};
+  EXPECT_EQ(counter_line(resume_fleet(config, loaded)), pin);
+  config.exec = ExecutionPolicy{2};
+  EXPECT_EQ(counter_line(run_fleet(config)), pin);
+  EXPECT_THROW(resume_fleet(cli_faulted_planner_fleet(8), loaded),
+               std::invalid_argument);
 }
 
 TEST(FleetCheckpointTest, CutAtSurgeWarpedArrivalResumesBitIdentical) {
