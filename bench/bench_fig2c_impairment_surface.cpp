@@ -42,8 +42,11 @@ void print_reproduction() {
       {{2.0, 1.5}, 0.049}, {{6.0, 1.5}, 0.184}, {{2.0, 5.8}, 0.174},
       {{6.0, 5.8}, 0.549}};
   for (const auto& [vr, paper] : anchors) {
-    checks.add_row({"(" + AsciiTable::num(vr.first, 0) + ", " +
-                        AsciiTable::num(vr.second, 1) + ")",
+    checks.add_row({std::string("(")
+                        .append(AsciiTable::num(vr.first, 0))
+                        .append(", ")
+                        .append(AsciiTable::num(vr.second, 1))
+                        .append(")"),
                     AsciiTable::num(paper, 3),
                     AsciiTable::num(model.vibration_impairment(vr.first, vr.second), 3)});
   }

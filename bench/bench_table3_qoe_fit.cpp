@@ -46,7 +46,11 @@ void print_reproduction() {
   surface.set_alignment({Align::kLeft, Align::kRight, Align::kRight});
   for (const auto& [v, r] : {std::pair{2.0, 1.5}, std::pair{6.0, 1.5},
                              std::pair{2.0, 5.8}, std::pair{6.0, 5.8}}) {
-    surface.add_row({"(" + AsciiTable::num(v, 0) + ", " + AsciiTable::num(r, 1) + ")",
+    surface.add_row({std::string("(")
+                         .append(AsciiTable::num(v, 0))
+                         .append(", ")
+                         .append(AsciiTable::num(r, 1))
+                         .append(")"),
                      AsciiTable::num(truth_model.vibration_impairment(v, r), 3),
                      AsciiTable::num(fitted_model.vibration_impairment(v, r), 3)});
   }

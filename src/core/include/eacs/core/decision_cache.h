@@ -18,7 +18,10 @@
 // change a decision, only cost a re-solve. Eviction itself is deterministic:
 // the table is direct-mapped (slot = hash % capacity), so a colliding insert
 // always displaces the same victim regardless of history outside the key
-// stream.
+// stream. Only occupied slots are stored (a small open-addressing index over
+// slot numbers that doubles with occupancy), so memory is O(entries), not
+// O(capacity): a 131072-slot fleet shard holding a thousand keys costs a few
+// hundred kB, and clear / export / restore never walk empty slots.
 //
 // Two modes:
 //   * exact (default): canonicalization is the identity — keys are the bit
@@ -71,7 +74,9 @@ struct DecisionCacheConfig {
   /// (floor(prev / width) * width), always a valid rung index.
   std::size_t prev_level_bucket = 1;
 
-  /// Direct-mapped slots. 0 = quantize-only: never stores, every lookup is
+  /// Direct-mapped slots (slot = key hash % capacity): the key space a
+  /// collision is counted over, not an allocation; storage grows with the
+  /// occupied slots only. 0 = quantize-only: never stores, every lookup is
   /// a miss (the cache-off reference of the certification tests).
   std::size_t capacity = 8192;
 };
@@ -212,7 +217,7 @@ class DecisionCache {
   const DecisionCacheStats& stats() const noexcept { return stats_; }
   std::size_t entries() const noexcept { return entries_; }
 
-  /// Drops all entries and zeroes the counters.
+  /// Drops all entries (releasing their storage) and zeroes the counters.
   void clear() noexcept;
 
   /// Snapshot of the occupied slots and counters, in slot order (checkpoint
@@ -221,18 +226,31 @@ class DecisionCache {
 
   /// Reinstates a previously exported state, replacing current contents and
   /// counters. Throws std::invalid_argument when an entry's slot index is
-  /// outside the configured capacity or two entries name the same slot.
+  /// outside the configured capacity or two entries name the same slot; a
+  /// rejected state leaves the cache untouched.
   void restore_state(const DecisionCacheState& state);
 
  private:
+  static constexpr std::size_t kFree = static_cast<std::size_t>(-1);
+
+  /// One occupied direct-mapped slot, or (`slot == kFree`) an unused cell of
+  /// the index.
   struct Entry {
+    std::size_t slot = kFree;
     DecisionKey key;
     std::uint32_t level = 0;
-    bool occupied = false;
   };
 
+  /// Index of the cell holding `slot` in `cells`, or of the free cell where
+  /// it belongs. `cells` is a non-empty power of two, at most half full.
+  static std::size_t probe(const std::vector<Entry>& cells,
+                           std::size_t slot) noexcept;
+
   DecisionCacheConfig config_;
-  std::vector<Entry> slots_;
+  /// Linear-probing index over the occupied slots, keyed by slot number.
+  /// Empty until the first insert; doubles before an insert would leave it
+  /// more than half full.
+  std::vector<Entry> cells_;
   DecisionCacheStats stats_;
   std::size_t entries_ = 0;
 };

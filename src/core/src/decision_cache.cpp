@@ -1,5 +1,6 @@
 #include "eacs/core/decision_cache.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <limits>
@@ -122,6 +123,9 @@ std::uint64_t mix64(std::uint64_t x) noexcept {
   return x;
 }
 
+// Cells in the first index the storage allocates; it doubles from there.
+constexpr std::size_t kMinCells = 16;
+
 }  // namespace
 
 std::uint64_t DecisionKey::hash() const noexcept {
@@ -152,7 +156,6 @@ DecisionCache::DecisionCache(DecisionCacheConfig config)
           "DecisionCacheConfig: prev_level_bucket must be >= 1");
     }
   }
-  slots_.resize(config_.capacity);
 }
 
 CanonicalDecision DecisionCache::canonicalize(
@@ -236,13 +239,29 @@ DecisionKey DecisionCache::key_for(
   return key;
 }
 
+std::size_t DecisionCache::probe(const std::vector<Entry>& cells,
+                                 std::size_t slot) noexcept {
+  // Fibonacci hashing on the slot number: the top bits of the product pick
+  // the home cell, so neither a small capacity's dense slot range nor a
+  // strided set of slots piles up in one probe run.
+  const std::size_t mask = cells.size() - 1;
+  std::size_t at = static_cast<std::size_t>(
+      (static_cast<std::uint64_t>(slot) * 0x9E3779B97F4A7C15ULL) >>
+      (64 - std::countr_zero(cells.size())));
+  while (cells[at].slot != slot && cells[at].slot != kFree) {
+    at = (at + 1) & mask;
+  }
+  return at;
+}
+
 std::optional<std::size_t> DecisionCache::find(const DecisionKey& key) noexcept {
-  if (!slots_.empty()) {
-    const Entry& entry = slots_[key.hash() % slots_.size()];
-    if (entry.occupied && entry.key == key) {
+  if (entries_ != 0) {  // never true at capacity 0, so no % 0 below
+    const std::size_t slot = key.hash() % config_.capacity;
+    const Entry& cell = cells_[probe(cells_, slot)];
+    if (cell.slot == slot && cell.key == key) {
       ++stats_.hits;
       if (CostStats* scope = CostStatsScope::current()) ++scope->cache_hits;
-      return entry.level;
+      return cell.level;
     }
   }
   ++stats_.misses;
@@ -256,20 +275,29 @@ void DecisionCache::count_external_hit() noexcept {
 }
 
 void DecisionCache::insert(const DecisionKey& key, std::size_t level) {
-  if (slots_.empty()) return;
-  Entry& entry = slots_[key.hash() % slots_.size()];
-  if (entry.occupied && !(entry.key == key)) {
+  if (config_.capacity == 0) return;
+  if (2 * (entries_ + 1) > cells_.size()) {
+    std::vector<Entry> grown(std::max(kMinCells, 2 * cells_.size()));
+    for (const Entry& cell : cells_) {
+      if (cell.slot != kFree) grown[probe(grown, cell.slot)] = cell;
+    }
+    cells_.swap(grown);
+  }
+  const std::size_t slot = key.hash() % config_.capacity;
+  Entry& cell = cells_[probe(cells_, slot)];
+  if (cell.slot == kFree) {
+    cell.slot = slot;
+    ++entries_;
+  } else if (!(cell.key == key)) {
     ++stats_.evictions;
     if (CostStats* scope = CostStatsScope::current()) ++scope->cache_evictions;
   }
-  if (!entry.occupied) ++entries_;
-  entry.key = key;
-  entry.level = static_cast<std::uint32_t>(level);
-  entry.occupied = true;
+  cell.key = key;
+  cell.level = static_cast<std::uint32_t>(level);
 }
 
 void DecisionCache::clear() noexcept {
-  for (Entry& entry : slots_) entry = Entry{};
+  std::vector<Entry>().swap(cells_);
   stats_ = DecisionCacheStats{};
   entries_ = 0;
 }
@@ -278,35 +306,37 @@ DecisionCacheState DecisionCache::export_state() const {
   DecisionCacheState state;
   state.stats = stats_;
   state.entries.reserve(entries_);
-  for (std::size_t slot = 0; slot < slots_.size(); ++slot) {
-    const Entry& entry = slots_[slot];
-    if (entry.occupied) {
-      state.entries.push_back({slot, entry.key, entry.level});
+  for (const Entry& cell : cells_) {
+    if (cell.slot != kFree) {
+      state.entries.push_back({cell.slot, cell.key, cell.level});
     }
   }
+  std::sort(state.entries.begin(), state.entries.end(),
+            [](const DecisionCacheState::Entry& a,
+               const DecisionCacheState::Entry& b) { return a.slot < b.slot; });
   return state;
 }
 
 void DecisionCache::restore_state(const DecisionCacheState& state) {
+  // Built aside and swapped in, so a rejected state changes nothing.
+  std::vector<Entry> cells;
+  if (!state.entries.empty()) {
+    cells.resize(std::max(kMinCells, std::bit_ceil(2 * state.entries.size())));
+  }
   for (const DecisionCacheState::Entry& entry : state.entries) {
-    if (entry.slot >= slots_.size()) {
+    if (entry.slot >= config_.capacity) {
       throw std::invalid_argument(
           "DecisionCache::restore_state: slot index outside capacity");
     }
-  }
-  for (Entry& entry : slots_) entry = Entry{};
-  entries_ = 0;
-  for (const DecisionCacheState::Entry& entry : state.entries) {
-    Entry& target = slots_[entry.slot];
-    if (target.occupied) {
+    Entry& cell = cells[probe(cells, entry.slot)];
+    if (cell.slot != kFree) {
       throw std::invalid_argument(
           "DecisionCache::restore_state: duplicate slot index");
     }
-    target.key = entry.key;
-    target.level = entry.level;
-    target.occupied = true;
-    ++entries_;
+    cell = {entry.slot, entry.key, entry.level};
   }
+  cells_.swap(cells);
+  entries_ = state.entries.size();
   stats_ = state.stats;
 }
 

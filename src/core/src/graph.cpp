@@ -65,8 +65,10 @@ SelectionGraph build_selection_graph(const Objective& objective,
   graph.source = 0;
   for (std::size_t task = 0; task < n; ++task) {
     for (std::size_t level = 0; level < m; ++level) {
-      graph.nodes.push_back({"T" + std::to_string(task + 1) + "R" +
-                                 std::to_string(level + 1),
+      graph.nodes.push_back({std::string("T")
+                                 .append(std::to_string(task + 1))
+                                 .append("R")
+                                 .append(std::to_string(level + 1)),
                              task, level, false});
     }
   }

@@ -125,7 +125,8 @@ eacs::XmlNode to_mpd_tree(const VideoManifest& manifest) {
   const auto& ladder = manifest.ladder();
   for (std::size_t level = 0; level < ladder.size(); ++level) {
     auto& representation = adaptation.add_child("Representation");
-    representation.set_attribute("id", "r" + std::to_string(level));
+    representation.set_attribute("id",
+                                 std::string("r").append(std::to_string(level)));
     representation.set_attribute(
         "bandwidth",
         std::to_string(static_cast<long long>(

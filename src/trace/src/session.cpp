@@ -18,8 +18,7 @@ SessionTraces build_session(const media::SessionSpec& spec,
   ThroughputGenerator throughput_gen(ThroughputModel{}, spec.seed ^ 0x7417ULL);
   session.throughput_mbps = throughput_gen.generate(session.signal_dbm);
 
-  AccelModel accel_model =
-      spec.on_vehicle ? AccelModel::moving_vehicle() : AccelModel::moving_vehicle();
+  AccelModel accel_model = AccelModel::moving_vehicle();
   // Table V's five sessions were all recorded on the move; session 2's low
   // average (2.46) corresponds to a smooth ride, which calibration handles by
   // scaling the same vehicle waveform down.

@@ -314,8 +314,9 @@ void ReservoirSampler::restore(const ReservoirSamplerState& state) {
   capacity_ = state.capacity;
   count_ = state.count;
   rng_ = rng;
+  // No reserve(capacity_): the restored capacity is only checked against
+  // the kept items, and add() grows the sample as it fills.
   items_ = state.items;
-  items_.reserve(capacity_);
 }
 
 double ReservoirSampler::quantile(double p) const {

@@ -145,5 +145,38 @@ TEST(DecisionCacheStateTest, RestoreValidates) {
   }
 }
 
+TEST(DecisionCacheStateTest, RejectedRestoreLeavesTheCacheUntouched) {
+  // A state that fails validation must not half-replace the table: the
+  // duplicate sits at the end, after entries a non-atomic restore would
+  // already have written over the old contents.
+  DecisionCache cache(quantized_config(64));
+  for (int i = 0; i < 200; ++i) {
+    cache.level_for(cache.canonicalize(snapshot(i)),
+                    [](const CanonicalDecision& c) { return fake_solve(c); });
+  }
+  DecisionCache donor(quantized_config(64));
+  for (int i = 1000; i < 1040; ++i) {
+    donor.level_for(donor.canonicalize(snapshot(i)),
+                    [](const CanonicalDecision& c) { return fake_solve(c); });
+  }
+  const DecisionCacheState before = cache.export_state();
+  ASSERT_NE(donor.export_state(), before);
+
+  DecisionCacheState duplicate = donor.export_state();
+  duplicate.entries.push_back(duplicate.entries.front());
+  EXPECT_THROW(cache.restore_state(duplicate), std::invalid_argument);
+  EXPECT_EQ(cache.export_state(), before);
+  EXPECT_EQ(cache.entries(), before.entries.size());
+
+  DecisionCacheState out_of_range = donor.export_state();
+  out_of_range.entries.back().slot = 64;
+  EXPECT_THROW(cache.restore_state(out_of_range), std::invalid_argument);
+  EXPECT_EQ(cache.export_state(), before);
+
+  // The untouched cache still serves what it held.
+  const DecisionKey held = before.entries.front().key;
+  EXPECT_EQ(cache.find(held), before.entries.front().level);
+}
+
 }  // namespace
 }  // namespace eacs::core

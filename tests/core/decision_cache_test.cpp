@@ -4,14 +4,20 @@
 // CostStatsScope mirroring, and config validation. The cross-cutting
 // claim — cache-on decisions bitwise equal cache-off decisions on the same
 // quantized inputs — lives in tests/property/decision_cache_properties_test.
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <optional>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "eacs/core/cost_stats.h"
 #include "eacs/core/decision_cache.h"
+#include "eacs/util/rng.h"
 
 namespace eacs::core {
 namespace {
@@ -282,6 +288,162 @@ TEST(DecisionCacheTest, MirrorsCountersIntoCostStatsScope) {
   EXPECT_EQ(stats.cache_evictions, 1u);
   EXPECT_EQ(cache.stats().hits, 2u);
   EXPECT_EQ(cache.stats().misses, 1u);
+}
+
+// The plain direct-mapped table the cache must behave as: `capacity` slots,
+// each empty or holding one key and its level. `occupied_` lists the filled
+// slot numbers in order, so checking a 131072-slot table after every step
+// does not walk all of it.
+class DirectMappedReference {
+ public:
+  explicit DirectMappedReference(std::size_t capacity) : slots_(capacity) {}
+
+  std::optional<std::size_t> find(const DecisionKey& key) {
+    if (!slots_.empty()) {
+      const auto& slot = slots_[key.hash() % slots_.size()];
+      if (slot && slot->key == key) {
+        ++stats_.hits;
+        return slot->level;
+      }
+    }
+    ++stats_.misses;
+    return std::nullopt;
+  }
+
+  void count_external_hit() { ++stats_.hits; }
+
+  void insert(const DecisionKey& key, std::size_t level) {
+    if (slots_.empty()) return;
+    const std::size_t index = key.hash() % slots_.size();
+    auto& slot = slots_[index];
+    if (slot && !(slot->key == key)) ++stats_.evictions;
+    if (!slot) {
+      occupied_.insert(
+          std::lower_bound(occupied_.begin(), occupied_.end(), index), index);
+    }
+    slot = Slot{key, static_cast<std::uint32_t>(level)};
+  }
+
+  const DecisionCacheStats& stats() const { return stats_; }
+
+  std::size_t entries() const { return occupied_.size(); }
+
+  DecisionCacheState export_state() const {
+    DecisionCacheState state{stats_, {}};
+    for (const std::size_t i : occupied_) {
+      state.entries.push_back({i, slots_[i]->key, slots_[i]->level});
+    }
+    return state;
+  }
+
+ private:
+  struct Slot {
+    DecisionKey key;
+    std::uint32_t level;
+  };
+  std::vector<std::optional<Slot>> slots_;
+  std::vector<std::size_t> occupied_;
+  DecisionCacheStats stats_;
+};
+
+DecisionKey pool_key(std::uint64_t i) {
+  DecisionKey key;
+  key.ladder_id = 42;
+  key.buffer = static_cast<std::int64_t>(i % 97);
+  key.bandwidth = static_cast<std::int64_t>(i / 97) - 20;
+  key.remaining = static_cast<std::int64_t>(i % 5);
+  return key;
+}
+
+// Distinct keys of which most share a direct-mapped slot with others: up to
+// four keys from each of the first 16 shared slots, plus up to 16 keys that
+// are alone in theirs. Inserts in the stream then displace each other often.
+std::vector<DecisionKey> colliding_pool(std::size_t capacity) {
+  const std::uint64_t candidates =
+      std::clamp<std::uint64_t>(2 * capacity, 64, std::uint64_t{1} << 18);
+  std::vector<std::pair<std::size_t, std::uint64_t>> by_slot;
+  by_slot.reserve(candidates);
+  for (std::uint64_t i = 0; i < candidates; ++i) {
+    by_slot.emplace_back(pool_key(i).hash() % capacity, i);
+  }
+  std::sort(by_slot.begin(), by_slot.end());
+  std::vector<DecisionKey> pool;
+  std::size_t shared = 0;
+  std::size_t alone = 0;
+  for (std::size_t run = 0; run < by_slot.size();) {
+    std::size_t end = run;
+    while (end < by_slot.size() && by_slot[end].first == by_slot[run].first) {
+      ++end;
+    }
+    if (end - run >= 2 && shared < 16) {
+      ++shared;
+      for (std::size_t i = run; i < std::min(end, run + 4); ++i) {
+        pool.push_back(pool_key(by_slot[i].second));
+      }
+    } else if (end - run == 1 && alone < 16) {
+      ++alone;
+      pool.push_back(pool_key(by_slot[run].second));
+    }
+    run = end;
+  }
+  return pool;
+}
+
+TEST(DecisionCacheTest, MatchesDirectMappedReferenceModel) {
+  for (const std::size_t capacity :
+       {std::size_t{1}, std::size_t{7}, std::size_t{64}, std::size_t{131072}}) {
+    SCOPED_TRACE(capacity);
+    const std::vector<DecisionKey> pool = colliding_pool(capacity);
+    ASSERT_GE(pool.size(), std::min<std::size_t>(capacity, 4));
+    DecisionCache cache(quantized_config(capacity));
+    DirectMappedReference reference(capacity);
+    Rng rng(0xCAC4E + capacity);
+    CostStats mirrored;
+    CostStatsScope scope(mirrored);
+
+    // One seeded find / insert / external-hit step on both tables.
+    const auto step = [&](DecisionCache& subject) {
+      const DecisionKey& key = pool[static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(pool.size()) - 1))];
+      const std::int64_t op = rng.uniform_int(0, 9);
+      if (op < 4) {
+        EXPECT_EQ(subject.find(key), reference.find(key));
+      } else if (op < 8) {
+        const auto level = static_cast<std::size_t>(rng.uniform_int(0, 13));
+        subject.insert(key, level);
+        reference.insert(key, level);
+      } else {
+        subject.count_external_hit();
+        reference.count_external_hit();
+      }
+    };
+
+    for (int i = 0; i < 3000; ++i) {
+      step(cache);
+      ASSERT_EQ(cache.stats(), reference.stats()) << "step " << i;
+      ASSERT_EQ(cache.entries(), reference.entries()) << "step " << i;
+      ASSERT_EQ(cache.export_state(), reference.export_state()) << "step " << i;
+      ASSERT_EQ(mirrored.cache_hits, cache.stats().hits);
+      ASSERT_EQ(mirrored.cache_misses, cache.stats().misses);
+      ASSERT_EQ(mirrored.cache_evictions, cache.stats().evictions);
+    }
+    EXPECT_GT(cache.stats().hits, 0U);
+    EXPECT_GT(cache.stats().misses, 0U);
+    EXPECT_GT(cache.stats().evictions, 0U);
+
+    // One export -> restore round trip, then the restored cache carries on
+    // exactly as the reference does.
+    DecisionCache restored(quantized_config(capacity));
+    restored.restore_state(cache.export_state());
+    EXPECT_EQ(restored.export_state(), cache.export_state());
+    EXPECT_EQ(restored.entries(), cache.entries());
+    for (int i = 0; i < 500; ++i) {
+      step(restored);
+      ASSERT_EQ(restored.stats(), reference.stats()) << "resumed step " << i;
+      ASSERT_EQ(restored.export_state(), reference.export_state())
+          << "resumed step " << i;
+    }
+  }
 }
 
 TEST(DecisionCacheTest, TaskLadderHashSeparatesContentIdentities) {

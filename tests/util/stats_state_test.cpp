@@ -4,6 +4,7 @@
 // fresh object, feed the other half — every subsequent observable must be
 // bit-identical to the never-interrupted aggregator, including merges.
 #include <cmath>
+#include <cstddef>
 #include <stdexcept>
 #include <vector>
 
@@ -206,6 +207,26 @@ TEST(ReservoirSamplerStateTest, RestoreValidates) {
     ReservoirSampler victim(8, 1);
     EXPECT_THROW(victim.restore(state), std::invalid_argument);
   }
+}
+
+TEST(ReservoirSamplerStateTest, RestoreReservesOnlyWhatItKeeps) {
+  // A restored capacity is a bound on the kept sample, not a request for
+  // storage: 2^62 doubles is past vector::max_size, so reserving it up front
+  // would throw std::length_error (and a merely large one would allocate).
+  ReservoirSampler donor(8, 42);
+  ReservoirSamplerState state = donor.state();
+  state.capacity = std::size_t{1} << 62;
+  state.count = 0;
+  state.items.clear();
+  ReservoirSampler restored(8, 1);
+  EXPECT_NO_THROW(restored.restore(state));
+  EXPECT_EQ(restored.capacity(), std::size_t{1} << 62);
+  restored.add(2.5);
+  restored.add(-1.0);
+  EXPECT_EQ(restored.count(), 2U);
+  ASSERT_EQ(restored.sample().size(), 2U);
+  EXPECT_EQ(restored.sample()[0], 2.5);
+  EXPECT_EQ(restored.sample()[1], -1.0);
 }
 
 }  // namespace
