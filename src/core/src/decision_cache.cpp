@@ -328,6 +328,12 @@ void DecisionCache::restore_state(const DecisionCacheState& state) {
       throw std::invalid_argument(
           "DecisionCache::restore_state: slot index outside capacity");
     }
+    // An entry away from its key's home slot could never be hit, and the
+    // first insert there would count a spurious eviction.
+    if (entry.slot != entry.key.hash() % config_.capacity) {
+      throw std::invalid_argument(
+          "DecisionCache::restore_state: entry is not in its key's slot");
+    }
     Entry& cell = cells[probe(cells, entry.slot)];
     if (cell.slot != kFree) {
       throw std::invalid_argument(

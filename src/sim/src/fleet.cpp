@@ -739,8 +739,8 @@ struct RegionSim {
   /// in-range slots, `live` counts the rest, every live slot's cell lies in
   /// the region's block and its rungs and segment in the config, each live
   /// slot is claimed by exactly one pending request or completion of its
-  /// own session, cache entries are on the ladder and the reservoirs have
-  /// the config's capacity.
+  /// own session, cache entries are on the ladder (restore() has the cache
+  /// check their slots) and the reservoirs have the config's capacity.
   void check_restorable(const FleetRegionCheckpoint& ckpt) const {
     const auto reject = [](const char* what) {
       throw std::invalid_argument(std::string("resume_fleet: checkpoint ") +
@@ -879,6 +879,9 @@ std::size_t validate_fleet_config(const FleetConfig& config) {
       throw std::invalid_argument(
           "run_fleet: ladder bitrates must be finite and > 0");
     }
+  }
+  if (config.reservoir_capacity == 0) {
+    throw std::invalid_argument("run_fleet: reservoir capacity must be > 0");
   }
   if (config.regions == 0 || config.regions > config.network.num_cells) {
     throw std::invalid_argument(

@@ -45,22 +45,23 @@ class AccelGenerator {
   AccelGenerator(AccelModel model, std::uint64_t seed);
 
   /// Generates `duration_s` seconds of samples (uncalibrated waveform).
+  /// Throws std::invalid_argument unless `duration_s` is finite, > 0 and
+  /// short enough for its sample count to fit in a trace.
   sensors::AccelTrace generate(double duration_s);
 
   /// Generates a trace whose *mean* vibration level (per
   /// sensors::mean_vibration_level with `config`) is within `tolerance`
-  /// (relative) of `target_level`. Uses secant iteration on the waveform
-  /// scale; typically 2-3 generations. A target of 0 returns a quiet trace.
+  /// (relative) of `target_level`. Synthesizes the waveform once, then runs
+  /// a secant iteration on its scale: one cheap rescale and one level
+  /// measurement per step. A target <= 0 returns a quiet trace. Throws
+  /// std::invalid_argument for a `duration_s` generate() rejects, a
+  /// non-finite `target_level` or a non-finite or negative `tolerance`.
   sensors::AccelTrace generate_calibrated(double duration_s, double target_level,
                                           sensors::VibrationConfig config = {},
                                           double tolerance = 0.03);
 
  private:
-  sensors::AccelTrace generate_scaled(double duration_s, double vibration_scale,
-                                      std::uint64_t stream_seed);
-
   AccelModel model_;
-  std::uint64_t seed_;
   eacs::Rng rng_;
 };
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
 namespace eacs::trace {
 namespace {
@@ -40,19 +41,32 @@ AccelModel AccelModel::walking() {
 }
 
 AccelGenerator::AccelGenerator(AccelModel model, std::uint64_t seed)
-    : model_(model), seed_(seed), rng_(seed) {
-  if (model_.sample_rate_hz <= 0.0) {
-    throw std::invalid_argument("AccelGenerator: sample rate must be > 0");
+    : model_(model), rng_(seed) {
+  if (!(std::isfinite(model_.sample_rate_hz) && model_.sample_rate_hz > 0.0)) {
+    throw std::invalid_argument(
+        "AccelGenerator: sample rate must be finite and > 0");
   }
 }
 
-sensors::AccelTrace AccelGenerator::generate_scaled(double duration_s,
-                                                    double vibration_scale,
-                                                    std::uint64_t stream_seed) {
-  if (duration_s <= 0.0) throw std::invalid_argument("AccelGenerator: bad duration");
+namespace {
+
+/// One sample of a stream's scale-free parts: everything but the single
+/// multiply by the vibration scale.
+struct WaveformSample {
+  double vib;      ///< vibration after modulation, walking and bumps
+  double base_x;   ///< sway + x noise
+  double base_y;   ///< 0.5 sway + y noise
+  double noise_z;  ///< z noise
+};
+
+/// Draws the stream `stream_seed` of `model`: every random draw and every
+/// transcendental of the waveform, none of which depends on the scale.
+std::vector<WaveformSample> synthesize(const AccelModel& model,
+                                       double duration_s,
+                                       std::uint64_t stream_seed) {
   eacs::Rng rng(stream_seed);
-  const double dt = 1.0 / model_.sample_rate_hz;
-  const auto count = static_cast<std::size_t>(duration_s * model_.sample_rate_hz) + 1;
+  const double dt = 1.0 / model.sample_rate_hz;
+  const auto count = static_cast<std::size_t>(duration_s * model.sample_rate_hz) + 1;
 
   // Road/engine harmonic bank: frequencies fixed per stream, amplitudes
   // weighted toward the low end (suspension resonance ~1-3 Hz dominates).
@@ -60,17 +74,17 @@ sensors::AccelTrace AccelGenerator::generate_scaled(double duration_s,
     double freq_hz, amplitude, phase;
   };
   std::vector<Harmonic> harmonics;
-  if (model_.harmonic_energy > 0.0) {
+  if (model.harmonic_energy > 0.0) {
     const double base_freqs[] = {1.3, 2.4, 3.6, 7.5, 12.0, 17.0};
     const double weights[] = {1.0, 0.8, 0.55, 0.3, 0.2, 0.15};
     for (std::size_t i = 0; i < 6; ++i) {
       harmonics.push_back({base_freqs[i] * (0.9 + 0.2 * rng.uniform()),
-                           model_.harmonic_energy * weights[i],
+                           model.harmonic_energy * weights[i],
                            rng.uniform(0.0, 2.0 * kPi)});
     }
   }
 
-  sensors::AccelTrace out;
+  std::vector<WaveformSample> out;
   out.reserve(count);
   double bump_level = 0.0;  // decaying bump envelope
   double bump_sign = 1.0;
@@ -92,66 +106,113 @@ sensors::AccelTrace AccelGenerator::generate_scaled(double duration_s,
 
     // Walking: narrowband vertical bobbing at the step cadence plus its
     // first harmonic (heel-strike sharpening).
-    if (model_.walk_cadence_hz > 0.0 && model_.walk_amplitude > 0.0) {
-      vib += model_.walk_amplitude *
-             (std::sin(2.0 * kPi * model_.walk_cadence_hz * t) +
-              0.35 * std::sin(2.0 * kPi * 2.0 * model_.walk_cadence_hz * t + 0.7));
+    if (model.walk_cadence_hz > 0.0 && model.walk_amplitude > 0.0) {
+      vib += model.walk_amplitude *
+             (std::sin(2.0 * kPi * model.walk_cadence_hz * t) +
+              0.35 * std::sin(2.0 * kPi * 2.0 * model.walk_cadence_hz * t + 0.7));
     }
 
     // Bumps: decaying oscillatory transient.
-    if (model_.bump_rate_per_s > 0.0 &&
-        rng.bernoulli(1.0 - std::exp(-model_.bump_rate_per_s * dt))) {
-      bump_level = model_.bump_amplitude * (0.5 + rng.uniform());
+    if (model.bump_rate_per_s > 0.0 &&
+        rng.bernoulli(1.0 - std::exp(-model.bump_rate_per_s * dt))) {
+      bump_level = model.bump_amplitude * (0.5 + rng.uniform());
       bump_sign = rng.bernoulli(0.5) ? 1.0 : -1.0;
     }
     if (bump_level > 1e-3) {
       vib += bump_sign * bump_level * std::sin(2.0 * kPi * 9.0 * t);
       bump_level *= std::exp(-dt / 0.25);  // ~0.25 s decay constant
     }
-    vib *= vibration_scale;
 
     // Handheld sway: slow, survives in x/y.
     sway_phase += 2.0 * kPi * 0.3 * dt;
-    const double sway = model_.sway_amplitude * std::sin(sway_phase);
+    const double sway = model.sway_amplitude * std::sin(sway_phase);
 
-    sensors::AccelSample sample;
-    sample.t_s = t;
-    sample.x = sway + rng.normal(0.0, model_.sensor_noise) + 0.3 * vib;
-    sample.y = 0.5 * sway + rng.normal(0.0, model_.sensor_noise) + 0.2 * vib;
-    sample.z = sensors::kGravity + vib + rng.normal(0.0, model_.sensor_noise);
+    WaveformSample sample;
+    sample.vib = vib;
+    sample.base_x = sway + rng.normal(0.0, model.sensor_noise);
+    sample.base_y = 0.5 * sway + rng.normal(0.0, model.sensor_noise);
+    sample.noise_z = rng.normal(0.0, model.sensor_noise);
     out.push_back(sample);
   }
   return out;
 }
 
+/// Writes `wave` with its vibration scaled by `scale` into `out`, reusing
+/// its buffer. Only the scale multiply and the per-axis sums run here, in a
+/// fixed order, so a trace's bits depend on (stream, scale) alone.
+void rescale(const std::vector<WaveformSample>& wave, double sample_rate_hz,
+             double scale, sensors::AccelTrace& out) {
+  const double dt = 1.0 / sample_rate_hz;
+  out.resize(wave.size());
+  for (std::size_t i = 0; i < wave.size(); ++i) {
+    const WaveformSample& w = wave[i];
+    const double vib = w.vib * scale;
+    sensors::AccelSample& sample = out[i];
+    sample.t_s = static_cast<double>(i) * dt;
+    sample.x = w.base_x + 0.3 * vib;
+    sample.y = w.base_y + 0.2 * vib;
+    sample.z = sensors::kGravity + vib + w.noise_z;
+  }
+}
+
+void check_duration(double duration_s, double sample_rate_hz) {
+  if (!(std::isfinite(duration_s) && duration_s > 0.0)) {
+    throw std::invalid_argument("AccelGenerator: duration must be finite and > 0");
+  }
+  // The sample count is cast to std::size_t, which is undefined past its range.
+  if (!(duration_s * sample_rate_hz <
+        static_cast<double>(sensors::AccelTrace().max_size()))) {
+    throw std::invalid_argument("AccelGenerator: duration too long for one trace");
+  }
+}
+
+}  // namespace
+
 sensors::AccelTrace AccelGenerator::generate(double duration_s) {
-  return generate_scaled(duration_s, 1.0, rng_.next_u64());
+  check_duration(duration_s, model_.sample_rate_hz);
+  sensors::AccelTrace trace;
+  rescale(synthesize(model_, duration_s, rng_.next_u64()), model_.sample_rate_hz,
+          1.0, trace);
+  return trace;
 }
 
 sensors::AccelTrace AccelGenerator::generate_calibrated(double duration_s,
                                                         double target_level,
                                                         sensors::VibrationConfig config,
                                                         double tolerance) {
-  // The stream seed is fixed across calibration iterations so that changing
-  // the scale rescales the *same* waveform rather than sampling a new one.
-  const std::uint64_t stream_seed = rng_.next_u64();
+  check_duration(duration_s, model_.sample_rate_hz);
+  if (!std::isfinite(target_level)) {
+    throw std::invalid_argument("AccelGenerator: target level must be finite");
+  }
+  if (!(std::isfinite(tolerance) && tolerance >= 0.0)) {
+    throw std::invalid_argument(
+        "AccelGenerator: tolerance must be finite and >= 0");
+  }
+  // The stream seed is fixed across calibration iterations: the waveform is
+  // drawn once and each iteration only rescales it.
+  std::uint64_t stream_seed = rng_.next_u64();
+  sensors::AccelTrace trace;
 
-  if (target_level <= 0.0) return generate_scaled(duration_s, 0.0, stream_seed);
+  if (target_level <= 0.0) {
+    rescale(synthesize(model_, duration_s, stream_seed), model_.sample_rate_hz,
+            0.0, trace);
+    return trace;
+  }
 
   // A model with no vibration waveform (quiet room: noise and sway only)
   // cannot reach a positive target by scaling; bootstrap a unit harmonic
-  // bank first.
-  if (model_.harmonic_energy <= 0.0 && model_.bump_rate_per_s <= 0.0) {
-    AccelModel boosted = model_;
-    boosted.harmonic_energy = 1.0;
-    AccelGenerator helper(boosted, stream_seed ^ 0xABCDULL);
-    return helper.generate_calibrated(duration_s, target_level, config, tolerance);
+  // bank, on the first stream of a generator seeded `stream_seed ^ 0xABCD`.
+  AccelModel model = model_;
+  if (model.harmonic_energy <= 0.0 && model.bump_rate_per_s <= 0.0) {
+    model.harmonic_energy = 1.0;
+    stream_seed = eacs::Rng(stream_seed ^ 0xABCDULL).next_u64();
   }
+  const std::vector<WaveformSample> wave = synthesize(model, duration_s, stream_seed);
 
   // The measured level is monotone (affine up to the noise floor) in the
   // scale, so a secant iteration converges in a couple of steps.
   double scale = 1.0;
-  auto trace = generate_scaled(duration_s, scale, stream_seed);
+  rescale(wave, model.sample_rate_hz, scale, trace);
   double measured = sensors::mean_vibration_level(trace, config);
   if (measured <= 1e-9) return trace;  // defensive: nothing to scale
 
@@ -159,7 +220,7 @@ sensors::AccelTrace AccelGenerator::generate_calibrated(double duration_s,
     const double relative_error = std::fabs(measured - target_level) / target_level;
     if (relative_error <= tolerance) break;
     scale *= target_level / measured;
-    trace = generate_scaled(duration_s, scale, stream_seed);
+    rescale(wave, model.sample_rate_hz, scale, trace);
     measured = sensors::mean_vibration_level(trace, config);
   }
   return trace;

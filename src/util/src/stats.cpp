@@ -251,7 +251,8 @@ ReservoirSampler::ReservoirSampler(std::size_t capacity, std::uint64_t seed)
   if (capacity_ == 0) {
     throw std::invalid_argument("ReservoirSampler capacity must be > 0");
   }
-  items_.reserve(capacity_);
+  // No reserve(capacity_): add() grows the sample as it fills, so a large
+  // capacity costs nothing until that many values arrive.
 }
 
 void ReservoirSampler::add(double x) {

@@ -145,6 +145,30 @@ TEST(DecisionCacheStateTest, RestoreValidates) {
   }
 }
 
+TEST(DecisionCacheStateTest, RestoreRejectsAnEntryOutsideItsHomeSlot) {
+  // A one-key state whose entry sits at slot 37 of 64, moved to slot 38: a
+  // lookup of that key probes slot 37 and could never hit it, and the next
+  // insert at 38 would count an eviction the uninterrupted run never saw.
+  DecisionCache source(quantized_config(64));
+  int i = 0;
+  while (source.canonicalize(snapshot(i)).key.hash() % 64 != 37) ++i;
+  source.level_for(source.canonicalize(snapshot(i)),
+                   [](const CanonicalDecision& c) { return fake_solve(c); });
+  DecisionCacheState moved = source.export_state();
+  ASSERT_EQ(moved.entries.size(), 1U);
+  ASSERT_EQ(moved.entries[0].slot, 37U);
+  moved.entries[0].slot = 38;
+
+  DecisionCache cache(quantized_config(64));
+  for (int j = 0; j < 200; ++j) {
+    cache.level_for(cache.canonicalize(snapshot(j)),
+                    [](const CanonicalDecision& c) { return fake_solve(c); });
+  }
+  const DecisionCacheState before = cache.export_state();
+  EXPECT_THROW(cache.restore_state(moved), std::invalid_argument);
+  EXPECT_EQ(cache.export_state(), before);
+}
+
 TEST(DecisionCacheStateTest, RejectedRestoreLeavesTheCacheUntouched) {
   // A state that fails validation must not half-replace the table: the
   // duplicate sits at the end, after entries a non-atomic restore would

@@ -457,7 +457,8 @@ TEST(FleetCheckpointTest, RestoreRejectsLiveCountMismatch) {
 TEST(FleetCheckpointTest, RestoreRejectsRungsAndCapacitiesOutsideTheConfig) {
   // The resumed run indexes the ladder with a live slot's rungs and cache
   // entries, the planner's horizon table with its segments left, and
-  // reserves a reservoir's capacity: each must fit the config.
+  // samples into a reservoir of its capacity: each must fit the config. A cache
+  // entry must also sit in its key's slot, the only one a lookup probes.
   const LiveCut cut(FleetPolicy::kPlanner);
   ASSERT_FALSE(cut.checkpoint.regions[0].cache.entries.empty());
   const std::vector<std::pair<const char*, void (*)(FleetRegionCheckpoint&,
@@ -486,6 +487,17 @@ TEST(FleetCheckpointTest, RestoreRejectsRungsAndCapacitiesOutsideTheConfig) {
           {"cache entry level",
            [](FleetRegionCheckpoint& r, std::uint32_t) {
              r.cache.entries.front().level = 1000000;
+           }},
+          {"cache entry slot",
+           [](FleetRegionCheckpoint& r, std::uint32_t) {
+             // Moved to the next free slot, away from its key's home slot.
+             auto& entries = r.cache.entries;
+             std::size_t slot = entries.front().slot + 1;
+             while (std::any_of(entries.begin(), entries.end(),
+                                [&](const auto& e) { return e.slot == slot; })) {
+               ++slot;
+             }
+             entries.front().slot = slot;
            }},
           {"reservoir capacity",
            [](FleetRegionCheckpoint& r, std::uint32_t) {

@@ -6,7 +6,9 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -293,6 +295,33 @@ TEST(FleetTest, ValidatesNonFiniteConfig) {
   config = small_fleet();
   config.ladder_mbps = {1.0, std::numeric_limits<double>::infinity()};
   EXPECT_THROW(run_fleet(config), std::invalid_argument);
+}
+
+TEST(FleetTest, ReservoirCapacityIsValidatedNotReserved) {
+  FleetConfig config = small_fleet();
+  config.reservoir_capacity = 0;
+  try {
+    run_fleet(config);
+    ADD_FAILURE() << "zero reservoir capacity accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("run_fleet:", 0), 0U) << e.what();
+  }
+
+  // A capacity far past anything allocatable costs nothing until that many
+  // sessions arrive: a 10-session fleet keeps every value, exactly as at the
+  // default capacity.
+  config = small_fleet();
+  config.num_sessions = 10;
+  const FleetMetrics bounded = run_fleet(config);
+  config.reservoir_capacity = std::size_t{1} << 62;
+  const FleetMetrics huge = run_fleet(config);
+  const auto values = [](const ReservoirSampler& r) {
+    return std::vector<double>(r.sample().begin(), r.sample().end());
+  };
+  EXPECT_EQ(values(huge.qoe_sample), values(bounded.qoe_sample));
+  EXPECT_EQ(values(huge.energy_sample), values(bounded.energy_sample));
+  EXPECT_EQ(values(huge.rebuffer_sample), values(bounded.rebuffer_sample));
+  EXPECT_EQ(huge.qoe_sample.sample().size(), 10U);
 }
 
 TEST(FleetTest, ValidatesResilienceConfig) {

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <stdexcept>
 
 #include "eacs/sensors/vibration.h"
 #include "eacs/trace/accel_gen.h"
+#include "eacs/trace/session.h"
 #include "eacs/trace/signal_gen.h"
 #include "eacs/trace/throughput_gen.h"
 #include "eacs/util/stats.h"
@@ -159,6 +164,94 @@ TEST(AccelGeneratorTest, InvalidInputsThrow) {
   EXPECT_THROW(AccelGenerator(model, 1), std::invalid_argument);
   AccelGenerator ok(AccelModel::quiet_room(), 1);
   EXPECT_THROW(ok.generate(0.0), std::invalid_argument);
+  // A sample count past std::size_t's range must not wrap to a short trace.
+  EXPECT_THROW(ok.generate(1e300), std::invalid_argument);
+  EXPECT_THROW(ok.generate_calibrated(1e300, 3.0), std::invalid_argument);
+}
+
+/// FNV-1a (64-bit) over the bit pattern of every folded double: two inputs
+/// digest equal iff every value is bit-identical, as their %a dumps are.
+class BitDigest {
+ public:
+  BitDigest& add(double v) {
+    const auto bits = std::bit_cast<std::uint64_t>(v);
+    for (int i = 0; i < 8; ++i) {
+      hash_ ^= (bits >> (8 * i)) & 0xFFU;
+      hash_ *= 0x100000001B3ULL;
+    }
+    return *this;
+  }
+  BitDigest& add(const sensors::AccelTrace& trace) {
+    for (const auto& s : trace) add(s.t_s).add(s.x).add(s.y).add(s.z);
+    return *this;
+  }
+  BitDigest& add(const TimeSeries& series) {
+    for (const auto& p : series.samples()) add(p.t_s).add(p.value);
+    return *this;
+  }
+  std::uint64_t value() const noexcept { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xCBF29CE484222325ULL;
+};
+
+std::uint64_t digest(const sensors::AccelTrace& trace) {
+  return BitDigest().add(trace).value();
+}
+
+TEST(AccelGeneratorTest, NonFiniteInputsThrow) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  AccelModel model;
+  model.sample_rate_hz = kNan;
+  EXPECT_THROW(AccelGenerator(model, 1), std::invalid_argument);
+  model.sample_rate_hz = kInf;
+  EXPECT_THROW(AccelGenerator(model, 1), std::invalid_argument);
+
+  AccelGenerator generator(AccelModel::moving_vehicle(), 1);
+  for (const double duration : {kNan, kInf, -kInf}) {
+    EXPECT_THROW(generator.generate(duration), std::invalid_argument);
+    EXPECT_THROW(generator.generate_calibrated(duration, 3.0),
+                 std::invalid_argument);
+  }
+  for (const double target : {kNan, kInf, -kInf}) {
+    EXPECT_THROW(generator.generate_calibrated(10.0, target),
+                 std::invalid_argument);
+  }
+  for (const double tolerance : {kNan, kInf, -0.01}) {
+    EXPECT_THROW(generator.generate_calibrated(10.0, 3.0, {}, tolerance),
+                 std::invalid_argument);
+  }
+  // Rejected calls draw no stream seed: the next trace is the one a fresh
+  // generator with the same seed makes.
+  AccelGenerator fresh(AccelModel::moving_vehicle(), 1);
+  EXPECT_EQ(digest(generator.generate_calibrated(10.0, 3.0)),
+            digest(fresh.generate_calibrated(10.0, 3.0)));
+}
+
+TEST(AccelGeneratorTest, CalibratedTracesMatchPinnedDigest) {
+  // Pins every bit of the synthesized traces: the Table V sessions (signal,
+  // throughput and accelerometer) and each accelerometer path — vehicle and
+  // walking calibration, the quiet-room bootstrap, target 0 and the plain
+  // uncalibrated waveform (twice from one generator, so the per-call stream
+  // seed is pinned too).
+  BitDigest sessions;
+  for (const SessionTraces& s : build_all_sessions()) {
+    sessions.add(s.signal_dbm).add(s.throughput_mbps).add(s.accel);
+  }
+  EXPECT_EQ(sessions.value(), 0x526def718c61a7b5ULL);
+
+  AccelGenerator vehicle(AccelModel::moving_vehicle(), 31);
+  EXPECT_EQ(digest(vehicle.generate_calibrated(120.0, 5.23)), 0xd5e0df78639e6c1bULL);
+  AccelGenerator walking(AccelModel::walking(), 43);
+  EXPECT_EQ(digest(walking.generate_calibrated(60.0, 2.0)), 0x0dd2ce5893204c79ULL);
+  AccelGenerator quiet(AccelModel::quiet_room(), 41);
+  EXPECT_EQ(digest(quiet.generate_calibrated(60.0, 3.0)), 0xeafbcd78fd3c5560ULL);
+  AccelGenerator still(AccelModel::moving_vehicle(), 37);
+  EXPECT_EQ(digest(still.generate_calibrated(30.0, 0.0)), 0xfdc3d672a7f7241bULL);
+  AccelGenerator plain(AccelModel::moving_vehicle(), 23);
+  EXPECT_EQ(digest(plain.generate(60.0)), 0x2b38f99662c1b644ULL);
+  EXPECT_EQ(digest(plain.generate(60.0)), 0x694d8bc22435119eULL);
 }
 
 }  // namespace
