@@ -202,8 +202,10 @@ sensors::AccelTrace AccelGenerator::generate_calibrated(double duration_s,
   // A model with no vibration waveform (quiet room: noise and sway only)
   // cannot reach a positive target by scaling; bootstrap a unit harmonic
   // bank, on the first stream of a generator seeded `stream_seed ^ 0xABCD`.
+  // Walking bobbing is a waveform too: it is scaled, never topped up.
   AccelModel model = model_;
-  if (model.harmonic_energy <= 0.0 && model.bump_rate_per_s <= 0.0) {
+  const bool walks = model.walk_cadence_hz > 0.0 && model.walk_amplitude > 0.0;
+  if (model.harmonic_energy <= 0.0 && model.bump_rate_per_s <= 0.0 && !walks) {
     model.harmonic_energy = 1.0;
     stream_seed = eacs::Rng(stream_seed ^ 0xABCDULL).next_u64();
   }
