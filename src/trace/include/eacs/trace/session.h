@@ -40,6 +40,8 @@ struct SessionBuildOptions {
 /// Context coupling: sessions with higher vibration get weaker / more
 /// volatile signal (severity = avg_vibration / 7), reflecting the paper's
 /// observation that moving-vehicle sessions suffer both.
+/// Throws std::invalid_argument for a non-finite spec.length_s (before any
+/// generator runs) and for anything the generators reject.
 SessionTraces build_session(const media::SessionSpec& spec,
                             const SessionBuildOptions& options = {});
 

@@ -44,6 +44,8 @@ class SignalStrengthGenerator {
   /// telephony-registry polling cadence). `start_dbm`, when finite, seeds
   /// the OU process at that level instead of the model mean — used by the
   /// scenario builder to keep the signal continuous across phase changes.
+  /// Throws std::invalid_argument unless both durations are finite and > 0,
+  /// `dt_s` advances t at `duration_s`, and the step count fits a TimeSeries.
   TimeSeries generate(double duration_s, double dt_s = 0.5,
                       double start_dbm = kFromModelMean);
 

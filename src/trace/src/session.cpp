@@ -1,11 +1,16 @@
 #include "eacs/trace/session.h"
 
 #include <algorithm>
+#include <cmath>
+#include <stdexcept>
 
 namespace eacs::trace {
 
 SessionTraces build_session(const media::SessionSpec& spec,
                             const SessionBuildOptions& options) {
+  if (!std::isfinite(spec.length_s)) {
+    throw std::invalid_argument("build_session: session length must be finite");
+  }
   SessionTraces session;
   session.spec = spec;
 

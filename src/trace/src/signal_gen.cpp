@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
 namespace eacs::trace {
 
@@ -50,8 +51,19 @@ SignalStrengthGenerator::SignalStrengthGenerator(SignalModel model, std::uint64_
 
 TimeSeries SignalStrengthGenerator::generate(double duration_s, double dt_s,
                                              double start_dbm) {
-  if (duration_s <= 0.0 || dt_s <= 0.0) {
+  if (!(std::isfinite(duration_s) && duration_s > 0.0 && std::isfinite(dt_s) &&
+        dt_s > 0.0)) {
     throw std::invalid_argument("SignalStrengthGenerator: bad durations");
+  }
+  // The loop below must end, and its samples must fit in one series: t has
+  // to advance at every step up to the end, and the step count has to be
+  // one a TimeSeries can hold.
+  const double end_s = duration_s + 1e-9;
+  if (!(end_s + dt_s > end_s) ||
+      !(duration_s / dt_s < static_cast<double>(
+                                std::vector<TimePoint>().max_size()))) {
+    throw std::invalid_argument(
+        "SignalStrengthGenerator: duration too long for its step");
   }
   TimeSeries out;
   double level = start_dbm > kFromModelMean ? start_dbm : model_.mean_dbm;
@@ -60,7 +72,7 @@ TimeSeries SignalStrengthGenerator::generate(double duration_s, double dt_s,
   double fade_depth = 0.0;
   const double sqrt_dt = std::sqrt(dt_s);
 
-  for (double t = 0.0; t <= duration_s + 1e-9; t += dt_s) {
+  for (double t = 0.0; t <= end_s; t += dt_s) {
     // OU update.
     level += model_.reversion_rate * (model_.mean_dbm - level) * dt_s +
              model_.volatility * sqrt_dt * rng_.normal();
