@@ -11,10 +11,25 @@
 // adds/compares on cached doubles: O(N*M) model evaluations per plan instead
 // of O(N*M^2).
 //
+// Within a table, only two model terms depend on the task's context: the
+// vibration factor kappa * v^alpha of I(v, r) and the radio energy per MB
+// e(s). Each is evaluated once per table. The rest of a level's QoE terms
+// depend on its bitrate alone (qoe::RungQuality: q0(r) and r^beta); a
+// table built with a `previous` table of the same QoE model copies those
+// for every level whose bitrate equals the previous table's, and
+// build_cost_tables chains each table on the one before. A CBR ladder thus
+// prices its rungs once per plan; the short last segment, whose bitrate
+// differs in the last bit, is priced afresh. The CostStats counters still
+// count logical evaluations (2M+1 per table), not pow/exp calls.
+//
 // Bit-identity contract: the table replays the *exact* floating-point
 // operations of Objective::task_cost — same subexpressions, same evaluation
 // order, clamps applied per edge — so cached plans are bitwise equal to the
-// uncached formulation. tests/property/cost_table_properties_test.cpp
+// uncached formulation. The hoisted factors keep that: (kappa * v^alpha) *
+// r^beta is task_qoe's left-to-right product, energy_per_mb feeds the same
+// multiply download_energy does, and a borrowed rung is the value
+// QoeModel::rung returns for an equal bitrate. A chained table is bitwise
+// equal to an unchained one. tests/property/cost_table_properties_test.cpp
 // asserts EXPECT_EQ on doubles for every consumer; do not "simplify" the
 // arithmetic here without re-certifying.
 
@@ -32,10 +47,11 @@ class TaskCostTable {
  public:
   /// Precomputes all per-level components of task_cost(env, *, *, buffer_s).
   /// Performs M power-model and M+1 QoE-model evaluations; every edge_cost
-  /// call afterwards performs none. Throws std::invalid_argument on an
-  /// empty ladder.
+  /// call afterwards performs none. `previous`, when given, lends its rung
+  /// terms (see above); the table is the same with or without it. Throws
+  /// std::invalid_argument on an empty ladder.
   TaskCostTable(const Objective& objective, const TaskEnvironment& env,
-                double buffer_s);
+                double buffer_s, const TaskCostTable* previous = nullptr);
 
   std::size_t num_levels() const noexcept { return energy_.size(); }
 
@@ -66,7 +82,7 @@ class TaskCostTable {
   double energy_max() const noexcept { return energy_max_; }
   double quality_base(std::size_t level) const { return quality_base_.at(level); }
   double original_quality(std::size_t level) const {
-    return original_quality_.at(level);
+    return rungs_.at(level).original;
   }
   double rebuffer_s(std::size_t level) const { return rebuffer_s_.at(level); }
   double quality_max() const noexcept { return quality_max_; }
@@ -81,8 +97,7 @@ class TaskCostTable {
   std::vector<double> e_term_;            ///< energy[j]/energy_max (guarded)
   std::vector<double> e_cost_;            ///< alpha * e_term[j]
   std::vector<double> quality_base_;      ///< q0(r_j) - I(v, r_j)
-  std::vector<double> original_quality_;  ///< q0(r_j), feeds the switch term
-  std::vector<double> bitrate_mbps_;      ///< r_j, guards the switch term
+  std::vector<qoe::RungQuality> rungs_;   ///< r_j, q0(r_j), r_j^beta
   std::vector<double> rebuffer_s_;        ///< expected stall at this level
   std::vector<double> rebuffer_impair_;   ///< mu * max(0, rebuffer_s[j])
 
@@ -91,13 +106,12 @@ class TaskCostTable {
   double quality_max_ = 0.0;   ///< top-rung QoE normaliser (Q(i,M))
   double alpha_ = 0.5;
   double one_minus_alpha_ = 0.5;
-  double switch_penalty_ = 0.0;
-  double mos_min_ = 1.0;
-  double mos_max_ = 5.0;
+  qoe::QoeModelParams qoe_params_;  ///< the model the rungs were priced with
 };
 
-/// Builds one table per task. Throws std::invalid_argument on empty tasks,
-/// an empty ladder, or a ragged ladder (tasks with differing level counts).
+/// Builds one table per task, each chained on the one before. Throws
+/// std::invalid_argument on empty tasks, an empty ladder, or a ragged
+/// ladder (tasks with differing level counts).
 /// Takes a span so callers can price a window of a larger task sequence
 /// without copying (the rolling-horizon planner and the decision cache both
 /// slice prebuilt windows).

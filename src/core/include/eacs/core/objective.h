@@ -19,6 +19,8 @@
 
 namespace eacs::core {
 
+class TaskCostTable;
+
 /// Objective configuration.
 struct ObjectiveConfig {
   double alpha = 0.5;              ///< energy weight in [0, 1]
@@ -49,6 +51,11 @@ class Objective {
   double task_energy(const TaskEnvironment& env, std::size_t level,
                      double buffer_s) const;
 
+  /// task_energy with power_model().energy_per_mb(env.signal_dbm) already
+  /// evaluated: one exp per task instead of one per level, same bits.
+  double task_energy(const TaskEnvironment& env, std::size_t level,
+                     double buffer_s, double energy_per_mb) const;
+
   /// QoE of task `env` at `level`; `prev_level` enables the switch term;
   /// stall time (from the same rebuffer estimate as the energy term) is
   /// charged via the rebuffer impairment.
@@ -60,8 +67,11 @@ class Objective {
                    std::optional<std::size_t> prev_level, double buffer_s) const;
 
   /// argmin over the ladder of task_cost with no switch term — Algorithm 1's
-  /// reference-bitrate computation (line 4).
-  std::size_t reference_level(const TaskEnvironment& env, double buffer_s) const;
+  /// reference-bitrate computation (line 4). With `chain`, the task's cost
+  /// table reuses the rungs of the table `*chain` holds (see TaskCostTable)
+  /// and is left there for the next call; the level is the same either way.
+  std::size_t reference_level(const TaskEnvironment& env, double buffer_s,
+                              std::optional<TaskCostTable>* chain = nullptr) const;
 
  private:
   qoe::QoeModel qoe_;

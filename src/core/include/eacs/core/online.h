@@ -18,6 +18,7 @@
 #include <memory>
 #include <optional>
 
+#include "eacs/core/cost_table.h"
 #include "eacs/core/decision_cache.h"
 #include "eacs/core/objective.h"
 #include "eacs/player/abr_policy.h"
@@ -90,6 +91,8 @@ class OnlineBitrateSelector final : public player::AbrPolicy {
   Objective objective_;
   Options options_;
   std::size_t failure_cooldown_ = 0;  ///< segments left of post-failure caution
+  /// The last decision's cost table: the next one borrows its rung terms.
+  std::optional<TaskCostTable> last_table_;
 };
 
 }  // namespace eacs::core

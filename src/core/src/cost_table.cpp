@@ -9,57 +9,68 @@
 namespace eacs::core {
 
 TaskCostTable::TaskCostTable(const Objective& objective,
-                             const TaskEnvironment& env, double buffer_s) {
+                             const TaskEnvironment& env, double buffer_s,
+                             const TaskCostTable* previous) {
   if (env.size_megabits.empty()) {
     throw std::invalid_argument(
         "TaskCostTable: empty bitrate ladder (no candidate sizes)");
   }
   const std::size_t m = env.size_megabits.size();
   const qoe::QoeModel& qoe = objective.qoe_model();
-  const qoe::QoeModelParams& qoe_params = qoe.params();
   const ObjectiveConfig& config = objective.config();
 
+  qoe_params_ = qoe.params();
   alpha_ = config.alpha;
   one_minus_alpha_ = 1.0 - config.alpha;
-  switch_penalty_ = qoe_params.switch_penalty;
-  mos_min_ = qoe_params.mos_min;
-  mos_max_ = qoe_params.mos_max;
 
   energy_.resize(m);
   e_term_.resize(m);
   e_cost_.resize(m);
   quality_base_.resize(m);
-  original_quality_.resize(m);
-  bitrate_mbps_.resize(m);
+  rungs_.resize(m);
   rebuffer_s_.resize(m);
   rebuffer_impair_.resize(m);
 
-  // Exactly the vibration input task_qoe builds (context_aware ablation).
+  // The task's context terms, once per table: the vibration input task_qoe
+  // builds (context_aware ablation) as its factor of I(v, r), and the radio
+  // energy per MB at the task's signal.
   const double vibration = config.context_aware ? env.vibration : 0.0;
+  const double vibration_factor = qoe.vibration_factor(vibration);
+  const double energy_per_mb =
+      objective.power_model().energy_per_mb(env.signal_dbm);
+  // A neighbouring table of the same QoE model lends its rung terms to every
+  // level whose bitrate is equal to this one's: same inputs, same bits.
+  const bool chained = previous != nullptr && previous->rungs_.size() == m &&
+                       previous->qoe_params_ == qoe_params_;
   CostStats* stats = CostStatsScope::current();
   for (std::size_t level = 0; level < m; ++level) {
-    // task_energy's model call, verbatim (counted inside task_energy).
-    energy_[level] = objective.task_energy(env, level, buffer_s);
-    // task_qoe's subexpressions, verbatim: bitrate, q0, I(v, r), rebuffer.
+    // task_energy's model call (counted inside task_energy).
+    energy_[level] = objective.task_energy(env, level, buffer_s, energy_per_mb);
+    // task_qoe's subexpressions: bitrate, q0 - I(v, r), rebuffer.
     const double size_megabits = env.size_megabits[level];
     const double bitrate = size_megabits / std::max(1e-9, env.duration_s);
-    bitrate_mbps_[level] = bitrate;
-    original_quality_[level] = qoe.original_quality(bitrate);
-    quality_base_[level] =
-        original_quality_[level] - qoe.vibration_impairment(vibration, bitrate);
+    rungs_[level] = chained && previous->rungs_[level].bitrate_mbps == bitrate
+                        ? previous->rungs_[level]
+                        : qoe.rung(bitrate);
+    quality_base_[level] = rungs_[level].original -
+                           qoe.vibration_impairment(rungs_[level], vibration_factor);
     rebuffer_s_[level] =
         objective.expected_rebuffer_s(size_megabits, env.bandwidth_mbps, buffer_s);
     rebuffer_impair_[level] =
-        qoe_params.rebuffer_penalty_per_s * std::max(0.0, rebuffer_s_[level]);
+        qoe_params_.rebuffer_penalty_per_s * std::max(0.0, rebuffer_s_[level]);
     if (stats) ++stats->qoe_model_evals;  // q0 + I together = one segment eval
   }
 
   // task_cost's normalisers: energy at the top rung with the same buffer
   // (bitwise the energy_[m-1] just computed — same call, same arguments),
-  // and the top rung's QoE with no switch context at the config threshold.
+  // and task_qoe of the top rung with no switch context at the config
+  // threshold, from the terms already at hand.
   energy_max_ = energy_[m - 1];
-  quality_max_ =
-      objective.task_qoe(env, m - 1, std::nullopt, config.buffer_threshold_s);
+  if (stats) ++stats->qoe_model_evals;
+  quality_max_ = qoe.segment_qoe(
+      rungs_[m - 1], nullptr, vibration_factor,
+      objective.expected_rebuffer_s(env.size_megabits[m - 1], env.bandwidth_mbps,
+                                    config.buffer_threshold_s));
 
   for (std::size_t level = 0; level < m; ++level) {
     e_term_[level] = energy_max_ > 0.0 ? energy_[level] / energy_max_ : 0.0;
@@ -71,14 +82,14 @@ TaskCostTable::TaskCostTable(const Objective& objective,
 double TaskCostTable::switch_impair(std::size_t level,
                                     std::size_t prev_level) const noexcept {
   // switch_impairment guards on the *previous* bitrate only.
-  if (bitrate_mbps_[prev_level] <= 0.0) return 0.0;
-  return switch_penalty_ *
-         std::fabs(original_quality_[level] - original_quality_[prev_level]);
+  if (rungs_[prev_level].bitrate_mbps <= 0.0) return 0.0;
+  return qoe_params_.switch_penalty *
+         std::fabs(rungs_[level].original - rungs_[prev_level].original);
 }
 
 double TaskCostTable::weigh(std::size_t level, double quality) const noexcept {
   // segment_qoe's final clamp, then task_cost's weighted sum, verbatim.
-  quality = std::clamp(quality, mos_min_, mos_max_);
+  quality = std::clamp(quality, qoe_params_.mos_min, qoe_params_.mos_max);
   const double q_term = quality_max_ > 0.0 ? quality / quality_max_ : 0.0;
   return e_cost_[level] - one_minus_alpha_ * q_term;
 }
@@ -104,7 +115,9 @@ std::vector<TaskCostTable> build_cost_tables(
     if (env.size_megabits.size() != m) {
       throw std::invalid_argument("build_cost_tables: ragged task ladder");
     }
-    tables.emplace_back(objective, env, buffer_s);
+    // Chained: each table borrows its predecessor's rung terms.
+    tables.emplace_back(objective, env, buffer_s,
+                        tables.empty() ? nullptr : &tables.back());
   }
   return tables;
 }

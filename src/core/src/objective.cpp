@@ -29,6 +29,15 @@ double Objective::expected_rebuffer_s(double size_megabits, double bandwidth_mbp
 
 double Objective::task_energy(const TaskEnvironment& env, std::size_t level,
                               double buffer_s) const {
+  // As PowerModel::task_energy: no exp for a task that downloads nothing.
+  return task_energy(env, level, buffer_s,
+                     env.size_megabits.at(level) / 8.0 > 0.0
+                         ? power_.energy_per_mb(env.signal_dbm)
+                         : 0.0);
+}
+
+double Objective::task_energy(const TaskEnvironment& env, std::size_t level,
+                              double buffer_s, double energy_per_mb) const {
   if (CostStats* stats = CostStatsScope::current()) ++stats->power_model_evals;
   const double size_megabits = env.size_megabits.at(level);
   const double rebuffer =
@@ -42,7 +51,7 @@ double Objective::task_energy(const TaskEnvironment& env, std::size_t level,
   input.signal_dbm = env.signal_dbm;
   input.play_s = env.duration_s;
   input.rebuffer_s = rebuffer;
-  return power_.task_energy(input);
+  return power_.task_energy(input, energy_per_mb);
 }
 
 double Objective::task_qoe(const TaskEnvironment& env, std::size_t level,
@@ -80,12 +89,14 @@ double Objective::task_cost(const TaskEnvironment& env, std::size_t level,
 }
 
 std::size_t Objective::reference_level(const TaskEnvironment& env,
-                                       double buffer_s) const {
+                                       double buffer_s,
+                                       std::optional<TaskCostTable>* chain) const {
   // Online hot path: one cost table (O(M) model evaluations) instead of
   // re-deriving the per-task normalisers for every candidate (O(M) costs,
   // each re-evaluating 4 models). Bit-identical argmin: the cached costs
   // are bitwise equal to task_cost and the strict-< scan is unchanged.
-  const TaskCostTable table(*this, env, buffer_s);
+  TaskCostTable table(*this, env, buffer_s,
+                      chain != nullptr && chain->has_value() ? &**chain : nullptr);
   std::size_t best = 0;
   double best_cost = table.edge_cost(0);
   for (std::size_t level = 1; level < table.num_levels(); ++level) {
@@ -98,6 +109,7 @@ std::size_t Objective::reference_level(const TaskEnvironment& env,
   if (CostStats* stats = CostStatsScope::current()) {
     stats->edge_evals += table.num_levels();
   }
+  if (chain != nullptr) *chain = std::move(table);
   return best;
 }
 

@@ -87,7 +87,8 @@ std::size_t OnlineBitrateSelector::choose_level(const player::AbrContext& contex
   // path below can run it on canonical representatives instead.
   const auto decide = [&](const TaskEnvironment& e, double buffer_s,
                           std::optional<std::size_t> prev_level) {
-    const std::size_t reference = objective_.reference_level(e, buffer_s);
+    const std::size_t reference =
+        objective_.reference_level(e, buffer_s, &last_table_);
     if (options_.smoothing && prev_level.has_value()) {
       return ladder.clamp_level(static_cast<long long>(
           smooth(reference, *prev_level, e, e.bandwidth_mbps, buffer_s)));

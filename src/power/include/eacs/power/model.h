@@ -82,6 +82,12 @@ class PowerModel {
   /// Whole-task energy (Eq. 10 reconstruction) [J].
   double task_energy(const TaskEnergyInput& input) const noexcept;
 
+  /// task_energy with the radio term's energy_per_mb(input.signal_dbm)
+  /// already evaluated, for callers that price many tasks at one signal.
+  /// `energy_per_mb` is read only when input.size_mb > 0.
+  double task_energy(const TaskEnergyInput& input,
+                     double energy_per_mb) const noexcept;
+
  private:
   PowerModelParams params_;
 };

@@ -37,7 +37,14 @@ double PowerModel::playback_power(double bitrate_mbps) const noexcept {
 }
 
 double PowerModel::task_energy(const TaskEnergyInput& input) const noexcept {
-  double energy = download_energy(input.size_mb, input.signal_dbm);
+  // As download_energy: no exp for a task that downloads nothing.
+  return task_energy(
+      input, input.size_mb > 0.0 ? energy_per_mb(input.signal_dbm) : 0.0);
+}
+
+double PowerModel::task_energy(const TaskEnergyInput& input,
+                               double energy_per_mb) const noexcept {
+  double energy = input.size_mb > 0.0 ? input.size_mb * energy_per_mb : 0.0;
   if (input.play_s > 0.0) {
     energy += playback_power(input.bitrate_mbps) * input.play_s;
   }

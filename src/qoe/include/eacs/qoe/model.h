@@ -41,6 +41,8 @@ struct QoeModelParams {
   // MOS scale bounds.
   double mos_min = 1.0;
   double mos_max = 5.0;
+
+  bool operator==(const QoeModelParams&) const = default;
 };
 
 /// Per-segment QoE inputs.
@@ -50,6 +52,15 @@ struct SegmentContext {
   double prev_bitrate_mbps = 0.0;  ///< previous segment's bitrate; <= 0 means
                                    ///< "first segment" (no switch term)
   double rebuffer_s = 0.0;         ///< stall time attributed to this segment
+};
+
+/// The bitrate-only terms of one ladder rung: everything segment_qoe needs
+/// from a bitrate, evaluated once (QoeModel::rung) and shared by every
+/// segment priced at that bitrate.
+struct RungQuality {
+  double bitrate_mbps = 0.0;
+  double original = 0.0;  ///< original_quality(bitrate_mbps)
+  double pow_beta = 0.0;  ///< bitrate_mbps^beta_r; 0 when bitrate_mbps <= 0
 };
 
 /// Evaluates the QoE model.
@@ -68,8 +79,26 @@ class QoeModel {
   /// Context-adjusted quality q0(r) - I(v, r), clamped to the MOS range.
   double perceived_quality(double bitrate_mbps, double vibration) const noexcept;
 
+  /// The rung-constant terms of `bitrate_mbps`.
+  RungQuality rung(double bitrate_mbps) const noexcept;
+
+  /// The context-constant factor of I(v, r): kappa * v^alpha_v, 0 when v <= 0.
+  double vibration_factor(double vibration) const noexcept;
+
+  /// I(v, r) from its two factors: vibration_factor(v) * r^beta_r, 0 when
+  /// either factor's input is out of range. Bitwise vibration_impairment(v, r)
+  /// for every finite r.
+  double vibration_impairment(const RungQuality& rung,
+                              double vibration_factor) const noexcept;
+
   /// Full per-segment QoE including switch and rebuffer impairments.
   double segment_qoe(const SegmentContext& context) const noexcept;
+
+  /// segment_qoe from precomputed terms: `prev` is the previous segment's
+  /// rung (nullptr, or a rung with bitrate <= 0, means no switch term). The
+  /// SegmentContext form goes through this one, so both are bit-identical.
+  double segment_qoe(const RungQuality& rung, const RungQuality* prev,
+                     double vibration_factor, double rebuffer_s) const noexcept;
 
   /// Bitrate-switch impairment term alone.
   double switch_impairment(double bitrate_mbps, double prev_bitrate_mbps) const noexcept;

@@ -42,11 +42,39 @@ double QoeModel::switch_impairment(double bitrate_mbps,
          std::fabs(original_quality(bitrate_mbps) - original_quality(prev_bitrate_mbps));
 }
 
+RungQuality QoeModel::rung(double bitrate_mbps) const noexcept {
+  return {bitrate_mbps, original_quality(bitrate_mbps),
+          bitrate_mbps <= 0.0 ? 0.0 : std::pow(bitrate_mbps, params_.beta_r)};
+}
+
+double QoeModel::vibration_factor(double vibration) const noexcept {
+  if (vibration <= 0.0) return 0.0;
+  return params_.kappa * std::pow(vibration, params_.alpha_v);
+}
+
+double QoeModel::vibration_impairment(const RungQuality& rung,
+                                      double vibration_factor) const noexcept {
+  // (kappa * v^alpha) * r^beta: vibration_impairment's left-to-right product.
+  if (vibration_factor == 0.0 || rung.bitrate_mbps <= 0.0) return 0.0;
+  return vibration_factor * rung.pow_beta;
+}
+
 double QoeModel::segment_qoe(const SegmentContext& context) const noexcept {
-  double q = original_quality(context.bitrate_mbps);
-  q -= vibration_impairment(context.vibration, context.bitrate_mbps);
-  q -= switch_impairment(context.bitrate_mbps, context.prev_bitrate_mbps);
-  q -= params_.rebuffer_penalty_per_s * std::max(0.0, context.rebuffer_s);
+  const RungQuality prev = rung(context.prev_bitrate_mbps);
+  return segment_qoe(rung(context.bitrate_mbps), &prev,
+                     vibration_factor(context.vibration), context.rebuffer_s);
+}
+
+double QoeModel::segment_qoe(const RungQuality& rung, const RungQuality* prev,
+                             double vibration_factor,
+                             double rebuffer_s) const noexcept {
+  double q = rung.original;
+  q -= vibration_impairment(rung, vibration_factor);
+  // switch_impairment, guarded on the previous bitrate only (as there).
+  if (prev != nullptr && !(prev->bitrate_mbps <= 0.0)) {
+    q -= params_.switch_penalty * std::fabs(rung.original - prev->original);
+  }
+  q -= params_.rebuffer_penalty_per_s * std::max(0.0, rebuffer_s);
   return std::clamp(q, params_.mos_min, params_.mos_max);
 }
 

@@ -148,6 +148,9 @@ struct RegionSim {
   const CellNetwork& network;
   const qoe::QoeModel& qoe_model;
   const power::PowerModel& power_model;
+  /// qoe_model.rung of each config.ladder_mbps entry: a completion prices
+  /// its QoE from rungs[level] and rungs[prev_level].
+  std::vector<qoe::RungQuality> rungs;
   /// Built empty for a clean run, where every query returns the neutral
   /// state — an exact no-op on every result (DESIGN §14).
   const FleetFaultModel& faults;
@@ -214,6 +217,9 @@ struct RegionSim {
         config.reservoir_capacity,
         seed_mix(config.seed, kReservoirLane, static_cast<int>(region * 3 + 2)));
     cell_active.assign(cell_count, 0);
+    for (const double mbps : config.ladder_mbps) {
+      rungs.push_back(qoe_model.rung(mbps));
+    }
 
     planner = config.policy == FleetPolicy::kPlanner;
     if (planner) {
@@ -611,13 +617,13 @@ struct RegionSim {
       arena.observe(slot, arena.size_mb[slot] * 8.0 / elapsed);
       arena.buffer_s[slot] += seg_s;
 
-      const double vibration = session_vibration(config.seed, event.session);
-      qoe::SegmentContext segment;
-      segment.bitrate_mbps = bitrate;
-      segment.vibration = vibration;
-      segment.prev_bitrate_mbps = arena.prev_bitrate[slot];
-      segment.rebuffer_s = arena.seg_rebuffer_s[slot];
-      arena.qoe_sum[slot] += qoe_model.segment_qoe(segment);
+      // The rung terms come from the ladder; only the session's vibration
+      // factor is evaluated here. prev_level < 0: first segment, no switch.
+      const int prev_level = arena.prev_level[slot];
+      arena.qoe_sum[slot] += qoe_model.segment_qoe(
+          rungs[arena.level[slot]], prev_level < 0 ? nullptr : &rungs[prev_level],
+          qoe_model.vibration_factor(session_vibration(config.seed, event.session)),
+          arena.seg_rebuffer_s[slot]);
 
       power::TaskEnergyInput task;
       task.size_mb = arena.size_mb[slot];
@@ -767,14 +773,14 @@ struct RegionSim {
     if (ckpt.live != slots - a.free_slots.size()) {
       reject("live count does not match the arena");
     }
-    const std::size_t rungs = config.ladder_mbps.size();
+    const std::size_t levels = config.ladder_mbps.size();
     for (std::size_t s = 0; s < slots; ++s) {
       if (state[s] == kLive &&
           (a.cell[s] < first_cell || a.cell[s] >= first_cell + cell_count ||
            a.next_segment[s] >= config.segments_per_session ||
-           a.level[s] >= rungs || a.last_level[s] >= rungs ||
+           a.level[s] >= levels || a.last_level[s] >= levels ||
            a.prev_level[s] < -1 ||
-           a.prev_level[s] >= static_cast<int>(rungs))) {
+           a.prev_level[s] >= static_cast<int>(levels))) {
         reject("live slot outside the region's cells or the ladder");
       }
     }
@@ -791,7 +797,7 @@ struct RegionSim {
       reject("live slot without a pending event");
     }
     for (const core::DecisionCacheState::Entry& entry : ckpt.cache.entries) {
-      if (entry.level >= rungs) reject("cache entry outside the ladder");
+      if (entry.level >= levels) reject("cache entry outside the ladder");
     }
     for (const ReservoirSamplerState* sample :
          {&ckpt.qoe_sample, &ckpt.energy_sample, &ckpt.rebuffer_sample}) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <stdexcept>
 
 namespace eacs::power {
@@ -119,6 +121,32 @@ TEST(PowerModelTest, WholeSessionEnergyInTableVIRange) {
   EXPECT_NEAR(lowest, 597.0, 25.0);
   EXPECT_NEAR(highest, 708.0, 25.0);
   EXPECT_GT(highest, lowest + 80.0);
+}
+
+TEST(PowerModelTest, PrecomputedEnergyPerMbMatchesBitwise) {
+  // task_energy(input, energy_per_mb(s)) is task_energy(input) bit for bit,
+  // for downloads of every sign (the radio term is zero without one) and
+  // with the tail extension on and off.
+  PowerModelParams tail;
+  tail.tail_energy_j = 0.7;
+  for (const PowerModel& model : {PowerModel{}, PowerModel(tail)}) {
+    for (const double size_mb : {-0.5, 0.0, 1e-320, 0.04, 1.3, 250.0}) {
+      for (const double signal : {-130.0, -104.2, -90.0, -60.0}) {
+        for (const double rebuffer : {0.0, 0.8}) {
+          TaskEnergyInput input;
+          input.size_mb = size_mb;
+          input.bitrate_mbps = 2.1;
+          input.signal_dbm = signal;
+          input.play_s = 2.0;
+          input.rebuffer_s = rebuffer;
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                        model.task_energy(input, model.energy_per_mb(signal))),
+                    std::bit_cast<std::uint64_t>(model.task_energy(input)))
+              << "size " << size_mb << " signal " << signal;
+        }
+      }
+    }
+  }
 }
 
 TEST(PowerModelTest, InvalidParamsThrow) {

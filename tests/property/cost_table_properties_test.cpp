@@ -17,6 +17,7 @@
 #include "eacs/core/graph.h"
 #include "eacs/core/horizon.h"
 #include "eacs/core/optimal.h"
+#include "eacs/media/manifest.h"
 #include "eacs/util/rng.h"
 
 namespace eacs::core {
@@ -218,6 +219,93 @@ TEST(CostTableTies, DuplicateRungsBreakTiesIdenticallyAcrossSolvers) {
     EXPECT_EQ(dp.levels, dijkstra.levels) << "seed " << seed;
     EXPECT_EQ(dp.levels, bellman_ford.levels) << "seed " << seed;
   }
+}
+
+/// One task per segment of `manifest`, with drawn context (vibration 0 on
+/// every third task, so the zero-factor path is in the mix).
+std::vector<TaskEnvironment> manifest_tasks(const media::VideoManifest& manifest,
+                                            std::uint64_t seed) {
+  eacs::Rng rng(seed);
+  std::vector<TaskEnvironment> tasks;
+  for (std::size_t i = 0; i < manifest.num_segments(); ++i) {
+    TaskEnvironment env;
+    env.index = i;
+    env.duration_s = manifest.segment_duration(i);
+    env.signal_dbm = rng.uniform(-120.0, -80.0);
+    env.vibration = i % 3 == 0 ? 0.0 : rng.uniform(0.0, 8.0);
+    env.bandwidth_mbps = rng.uniform(0.3, 20.0);
+    for (std::size_t level = 0; level < manifest.ladder().size(); ++level) {
+      env.size_megabits.push_back(manifest.segment_size_megabits(i, level));
+    }
+    tasks.push_back(std::move(env));
+  }
+  return tasks;
+}
+
+void expect_tables_equal(const TaskCostTable& a, const TaskCostTable& b) {
+  ASSERT_EQ(a.num_levels(), b.num_levels());
+  EXPECT_EQ(a.energy_max(), b.energy_max());
+  EXPECT_EQ(a.quality_max(), b.quality_max());
+  for (std::size_t j = 0; j < a.num_levels(); ++j) {
+    EXPECT_EQ(a.energy(j), b.energy(j));
+    EXPECT_EQ(a.quality_base(j), b.quality_base(j));
+    EXPECT_EQ(a.original_quality(j), b.original_quality(j));
+    EXPECT_EQ(a.rebuffer_s(j), b.rebuffer_s(j));
+    EXPECT_EQ(a.edge_cost(j), b.edge_cost(j));
+    for (std::size_t jp = 0; jp < a.num_levels(); ++jp) {
+      EXPECT_EQ(a.edge_cost(j, jp), b.edge_cost(j, jp)) << j << " " << jp;
+    }
+  }
+}
+
+TEST(CostTableChain, ChainedTablesMatchUnchainedBitwise) {
+  // build_cost_tables chains each table on the one before, borrowing the
+  // rung terms of every level whose bitrate is equal. On a CBR manifest
+  // with a short last segment the borrowing covers every task but the last,
+  // whose bitrates differ in the last bit; on a VBR manifest no bitrate
+  // repeats. Either way every component and edge matches a table built
+  // alone, and task_cost.
+  const Objective objective = make_objective(0.5);
+  for (const double amplitude : {0.0, 0.3}) {
+    const media::VideoManifest manifest(
+        "chain", 61.3, 2.0, media::BitrateLadder::evaluation14(),
+        media::VbrModel{amplitude});
+    const auto tasks = manifest_tasks(manifest, 17);
+    if (amplitude == 0.0) {
+      const TaskEnvironment& first = tasks.front();
+      const TaskEnvironment& last = tasks.back();
+      ASSERT_LT(last.duration_s, first.duration_s);
+      bool last_bit_differs = false;
+      for (std::size_t j = 0; j < first.size_megabits.size(); ++j) {
+        last_bit_differs |= last.size_megabits[j] / last.duration_s !=
+                            first.size_megabits[j] / first.duration_s;
+      }
+      EXPECT_TRUE(last_bit_differs);
+    }
+    for (const double buffer_s : {0.0, 12.0}) {
+      const auto chained = build_cost_tables(objective, tasks, buffer_s);
+      for (std::size_t i = 0; i < tasks.size(); ++i) {
+        SCOPED_TRACE(testing::Message() << "vbr " << amplitude << " task " << i);
+        const TaskCostTable alone(objective, tasks[i], buffer_s);
+        expect_tables_equal(chained[i], alone);
+        for (std::size_t j = 0; j < alone.num_levels(); ++j) {
+          EXPECT_EQ(chained[i].edge_cost(j, 0),
+                    objective.task_cost(tasks[i], j, 0, buffer_s));
+        }
+      }
+    }
+  }
+
+  // A table of another QoE model lends nothing: its rungs were priced with
+  // other coefficients.
+  qoe::QoeModelParams other;
+  other.a = 2.0;
+  const Objective foreign(qoe::QoeModel(other), power::PowerModel{}, {});
+  const auto tasks = manifest_tasks(
+      media::VideoManifest("chain", 20.0, 2.0, media::BitrateLadder::evaluation14()), 5);
+  const TaskCostTable lender(foreign, tasks[0], 12.0);
+  expect_tables_equal(TaskCostTable(objective, tasks[1], 12.0, &lender),
+                      TaskCostTable(objective, tasks[1], 12.0));
 }
 
 TEST(CostTableReweight, ReweightedTableMatchesFreshObjective) {

@@ -2,7 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
+#include <vector>
+
+#include "eacs/media/bitrate_ladder.h"
 
 namespace eacs::qoe {
 namespace {
@@ -120,6 +128,57 @@ TEST(QoeModelTest, ContextAwareSweetSpotUnderVibration) {
   const double shaky_gain = model.perceived_quality(5.8, 7.0) -
                             model.perceived_quality(1.5, 7.0);
   EXPECT_LT(shaky_gain, 0.5 * quiet_gain);
+}
+
+/// Bit pattern of a double: equal patterns are equal %a dumps, NaN included.
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST(QoeModelTest, RungFormMatchesSegmentContextBitwise) {
+  // The rung form, the SegmentContext form and the chain restated from the
+  // scalar terms (original quality, I(v, r), switch, rebuffer, then clamp)
+  // agree bit for bit — NaN results included — over every evaluation rung,
+  // zero and negative bitrates, vibrations at and below zero, one whose
+  // factor underflows, NaN and typical ones, and no / zero / rung previous
+  // bitrates.
+  const QoeModel model;
+  const QoeModelParams& p = model.params();
+  std::vector<double> bitrates = {0.0, -1.5};
+  const auto ladder = media::BitrateLadder::evaluation14();
+  for (std::size_t l = 0; l < ladder.size(); ++l) bitrates.push_back(ladder.bitrate(l));
+  const double vibrations[] = {0.0, -2.0, 1e-300,
+                               std::numeric_limits<double>::quiet_NaN(), 3.7};
+  for (const double r : bitrates) {
+    const RungQuality rung = model.rung(r);
+    EXPECT_EQ(bits(rung.bitrate_mbps), bits(r));
+    EXPECT_EQ(bits(rung.original), bits(model.original_quality(r)));
+    for (const double v : vibrations) {
+      const double factor = model.vibration_factor(v);
+      EXPECT_EQ(bits(model.vibration_impairment(rung, factor)),
+                bits(model.vibration_impairment(v, r)))
+          << "r " << r << " v " << v;
+      for (const double prev_r : {-1.0, 0.0, 0.75, r}) {
+        const RungQuality prev = model.rung(prev_r);
+        const RungQuality* prev_ptr = prev_r < 0.0 ? nullptr : &prev;
+        for (const double rebuffer : {0.0, 1.25}) {
+          SegmentContext context;
+          context.bitrate_mbps = r;
+          context.vibration = v;
+          context.prev_bitrate_mbps = prev_r < 0.0 ? 0.0 : prev_r;
+          context.rebuffer_s = rebuffer;
+          double chain = model.original_quality(r);
+          chain -= model.vibration_impairment(v, r);
+          chain -= model.switch_impairment(r, context.prev_bitrate_mbps);
+          chain -= p.rebuffer_penalty_per_s * std::max(0.0, rebuffer);
+          chain = std::clamp(chain, p.mos_min, p.mos_max);
+          const double from_rungs = model.segment_qoe(rung, prev_ptr, factor, rebuffer);
+          EXPECT_EQ(bits(from_rungs), bits(model.segment_qoe(context)))
+              << "r " << r << " v " << v << " prev " << prev_r;
+          EXPECT_EQ(bits(from_rungs), bits(chain))
+              << "r " << r << " v " << v << " prev " << prev_r;
+        }
+      }
+    }
+  }
 }
 
 TEST(QoeModelTest, InvalidParamsThrow) {
