@@ -39,7 +39,9 @@ struct VbrModel {
 /// Immutable description of one adaptive stream.
 class VideoManifest {
  public:
-  /// Throws std::invalid_argument on non-positive durations.
+  /// Throws std::invalid_argument on a non-finite or non-positive duration,
+  /// a VBR amplitude outside [0, 1) (NaN included), or a segment count that
+  /// does not fit in std::size_t.
   VideoManifest(std::string video_id, double total_duration_s, double segment_duration_s,
                 BitrateLadder ladder, VbrModel vbr = {});
 

@@ -40,7 +40,8 @@ VideoManifest from_mpd_xml(std::string_view xml_text);
 std::string iso8601_duration(double seconds);
 
 /// Parses the ISO-8601 duration subset "PT[nH][nM][n.nS]".
-/// Throws std::runtime_error on malformed input.
+/// Throws std::runtime_error on malformed input or a component outside the
+/// range of a double.
 double parse_iso8601_duration(std::string_view text);
 
 }  // namespace eacs::media

@@ -1,6 +1,7 @@
 #include "eacs/media/manifest.h"
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace eacs::media {
@@ -36,14 +37,19 @@ VideoManifest::VideoManifest(std::string video_id, double total_duration_s,
       vbr_(vbr),
       num_segments_(0),
       video_hash_(fnv1a(video_id_)) {
-  if (total_duration_s_ <= 0.0 || segment_duration_s_ <= 0.0) {
-    throw std::invalid_argument("VideoManifest: durations must be positive");
+  if (!(std::isfinite(total_duration_s_) && total_duration_s_ > 0.0 &&
+        std::isfinite(segment_duration_s_) && segment_duration_s_ > 0.0)) {
+    throw std::invalid_argument("VideoManifest: durations must be finite and positive");
   }
-  if (vbr_.amplitude < 0.0 || vbr_.amplitude >= 1.0) {
+  if (!(vbr_.amplitude >= 0.0 && vbr_.amplitude < 1.0)) {
     throw std::invalid_argument("VideoManifest: vbr amplitude must be in [0, 1)");
   }
-  num_segments_ = static_cast<std::size_t>(
-      std::ceil(total_duration_s_ / segment_duration_s_ - 1e-9));
+  const double count = std::ceil(total_duration_s_ / segment_duration_s_ - 1e-9);
+  // 2^64 as a double: the first count a std::size_t cannot hold.
+  if (!(count < static_cast<double>(std::numeric_limits<std::size_t>::max()))) {
+    throw std::invalid_argument("VideoManifest: segment count out of range");
+  }
+  num_segments_ = static_cast<std::size_t>(count);
 }
 
 double VideoManifest::segment_duration(std::size_t index) const {

@@ -65,7 +65,13 @@ double parse_iso8601_duration(std::string_view text) {
       throw std::runtime_error("parse_iso8601_duration: malformed '" +
                                std::string(text) + "'");
     }
-    const double value = std::stod(std::string(text.substr(pos, digits_end - pos)));
+    double value = 0.0;
+    try {
+      value = std::stod(std::string(text.substr(pos, digits_end - pos)));
+    } catch (const std::out_of_range&) {
+      throw std::runtime_error("parse_iso8601_duration: component out of range in '" +
+                               std::string(text) + "'");
+    }
     const char unit = text[digits_end];
     switch (unit) {
       case 'H': total += value * 3600.0; break;

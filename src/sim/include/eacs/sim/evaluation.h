@@ -2,7 +2,8 @@
 // The paper's Section V evaluation, end to end: build the five Table V
 // sessions, replay each with every algorithm (YouTube / FESTIVE / BBA / Ours
 // / Optimal, optionally BOLA), account energy and QoE, and aggregate the
-// comparisons behind Figs. 5-7.
+// comparisons behind Figs. 5-7. The replay runs on sim::StudyGrid
+// (study_grid.h), whose line-up the link-fault study shares.
 
 #include <functional>
 #include <map>
@@ -33,7 +34,7 @@ struct EvaluationConfig {
   power::PowerModelParams power;
   trace::SessionBuildOptions session_options;
   std::size_t online_startup_level = 3;  ///< "Ours" startup rung
-  /// Optional decision memoization for "Ours": each session work item gets a
+  /// Optional decision memoization for "Ours": each line-up replay gets a
   /// fresh cache built from this config (per-instance — never shared across
   /// workers), keeping units pure in their index. The exact-key default
   /// leaves decisions bit-identical to uncached runs; a quantized config is
@@ -79,6 +80,8 @@ struct EvaluationResult {
 /// Runs the evaluation.
 class Evaluation {
  public:
+  /// Throws std::invalid_argument on a non-finite or non-positive segment
+  /// duration.
   explicit Evaluation(EvaluationConfig config = {});
 
   const EvaluationConfig& config() const noexcept { return config_; }
@@ -88,7 +91,9 @@ class Evaluation {
   EvaluationResult run() const;
 
   /// Run over caller-provided sessions (e.g. a single trace, or synthetic
-  /// what-if sessions for ablations).
+  /// what-if sessions for ablations): per session, the Optimal plan from its
+  /// vibration track, then StudyGrid::lineup. Rows come session-major, in
+  /// line-up order, bit-identical at any `exec.jobs`.
   EvaluationResult run(const std::vector<trace::SessionTraces>& sessions) const;
 
   /// The manifest used for a given session spec.

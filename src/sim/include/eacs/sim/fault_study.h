@@ -65,9 +65,11 @@ struct FaultStudyResult {
                         double failure_prob) const;
 };
 
-/// Runs the sweep. Sessions are built once and shared across the grid; the
-/// fault seed for (grid point, session) is derived from config.seed so the
-/// whole table is reproducible bit-for-bit. Throws std::invalid_argument on
+/// Runs the sweep over the evaluation's line-up (StudyGrid::lineup: BOLA
+/// too when `evaluation.include_bola`, Ours with `evaluation.online_cache`).
+/// Sessions are built once and shared across the grid; the fault seed for
+/// (grid point, session) is derived from config.seed so the whole table is
+/// reproducible bit-for-bit. Throws std::invalid_argument on
 /// an empty axis or a non-finite or negative axis value.
 FaultStudyResult run_fault_study(const FaultStudyConfig& config = {});
 

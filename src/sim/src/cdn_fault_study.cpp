@@ -96,9 +96,11 @@ CdnFaultStudyResult run_cdn_fault_study(const CdnFaultStudyConfig& config) {
   const auto families =
       config.families.empty() ? all_cdn_fault_families() : config.families;
 
-  player::PlayerConfig player_config = config.evaluation.player;
-  player_config.resilience.hedge_enabled = config.hedge_enabled;
-  const StudyGrid grid(config.evaluation, player_config);
+  EvaluationConfig evaluation_config = config.evaluation;
+  evaluation_config.player.resilience.hedge_enabled = config.hedge_enabled;
+  const Evaluation evaluation(evaluation_config);
+  const auto sessions = trace::build_all_sessions(config.evaluation.session_options);
+  const StudyGrid grid(evaluation, sessions);
 
   struct UnitResult {
     SessionMetrics metrics;

@@ -1,16 +1,32 @@
 #include "eacs/sim/evaluation.h"
 
+#include <cmath>
 #include <stdexcept>
 
-#include "eacs/abr/bba.h"
-#include "eacs/abr/bola.h"
-#include "eacs/abr/festive.h"
-#include "eacs/abr/fixed.h"
-#include "eacs/core/online.h"
-#include "eacs/core/optimal.h"
-#include "eacs/util/thread_pool.h"
+#include "eacs/sim/study_grid.h"
 
 namespace eacs::sim {
+namespace {
+
+/// Mean over `algorithm`'s sessions of 1 - field / reference's field, over
+/// the sessions where the reference's field is positive (0 when none is).
+double mean_relative_saving(const EvaluationResult& result,
+                            const std::string& algorithm,
+                            const std::string& reference,
+                            double SessionMetrics::*field) {
+  double total = 0.0;
+  std::size_t count = 0;
+  for (const auto& r : result.rows_for(algorithm)) {
+    const double ref = result.row(reference, r.session_id).*field;
+    if (ref > 0.0) {
+      total += 1.0 - r.*field / ref;
+      ++count;
+    }
+  }
+  return count > 0 ? total / static_cast<double>(count) : 0.0;
+}
+
+}  // namespace
 
 std::vector<SessionMetrics> EvaluationResult::rows_for(
     const std::string& algorithm) const {
@@ -47,32 +63,14 @@ std::vector<std::string> EvaluationResult::algorithms() const {
 
 double EvaluationResult::mean_energy_saving(const std::string& algorithm,
                                             const std::string& reference) const {
-  const auto algo_rows = rows_for(algorithm);
-  double total = 0.0;
-  std::size_t count = 0;
-  for (const auto& r : algo_rows) {
-    const auto& ref = row(reference, r.session_id);
-    if (ref.total_energy_j > 0.0) {
-      total += 1.0 - r.total_energy_j / ref.total_energy_j;
-      ++count;
-    }
-  }
-  return count > 0 ? total / static_cast<double>(count) : 0.0;
+  return mean_relative_saving(*this, algorithm, reference,
+                              &SessionMetrics::total_energy_j);
 }
 
 double EvaluationResult::mean_extra_energy_saving(const std::string& algorithm,
                                                   const std::string& reference) const {
-  const auto algo_rows = rows_for(algorithm);
-  double total = 0.0;
-  std::size_t count = 0;
-  for (const auto& r : algo_rows) {
-    const auto& ref = row(reference, r.session_id);
-    if (ref.extra_energy_j > 0.0) {
-      total += 1.0 - r.extra_energy_j / ref.extra_energy_j;
-      ++count;
-    }
-  }
-  return count > 0 ? total / static_cast<double>(count) : 0.0;
+  return mean_relative_saving(*this, algorithm, reference,
+                              &SessionMetrics::extra_energy_j);
 }
 
 double EvaluationResult::mean_qoe(const std::string& algorithm) const {
@@ -84,17 +82,8 @@ double EvaluationResult::mean_qoe(const std::string& algorithm) const {
 
 double EvaluationResult::mean_qoe_degradation(const std::string& algorithm,
                                               const std::string& reference) const {
-  const auto algo_rows = rows_for(algorithm);
-  double total = 0.0;
-  std::size_t count = 0;
-  for (const auto& r : algo_rows) {
-    const auto& ref = row(reference, r.session_id);
-    if (ref.mean_qoe > 0.0) {
-      total += 1.0 - r.mean_qoe / ref.mean_qoe;
-      ++count;
-    }
-  }
-  return count > 0 ? total / static_cast<double>(count) : 0.0;
+  return mean_relative_saving(*this, algorithm, reference,
+                              &SessionMetrics::mean_qoe);
 }
 
 double EvaluationResult::saving_degradation_ratio(const std::string& algorithm,
@@ -106,8 +95,10 @@ double EvaluationResult::saving_degradation_ratio(const std::string& algorithm,
 }
 
 Evaluation::Evaluation(EvaluationConfig config) : config_(std::move(config)) {
-  if (config_.segment_duration_s <= 0.0) {
-    throw std::invalid_argument("Evaluation: segment duration must be > 0");
+  if (!(std::isfinite(config_.segment_duration_s) &&
+        config_.segment_duration_s > 0.0)) {
+    throw std::invalid_argument(
+        "Evaluation: segment duration must be finite and > 0");
   }
 }
 
@@ -133,56 +124,13 @@ EvaluationResult Evaluation::run() const {
 
 EvaluationResult Evaluation::run(
     const std::vector<trace::SessionTraces>& sessions) const {
-  EvaluationResult result;
+  const StudyGrid grid(*this, sessions);
   const core::Objective objective = make_objective(config_);
-  const qoe::QoeModel& qoe_model = objective.qoe_model();
-  const power::PowerModel& power_model = objective.power_model();
+  const auto per_session = grid.baseline([&](std::size_t s) {
+    return grid.lineup(s, objective, grid.optimal_plan(s, objective));
+  });
 
-  // One unit of work per session: everything a unit touches (manifest,
-  // simulator, vibration track, policies, optimal plan) is built inside it
-  // from the session alone, so units are pure in their index and can run on
-  // any worker. The track is the session's one estimator pass, shared by the
-  // optimal planner and every replay.
-  const auto run_session = [&](std::size_t s) {
-    const auto& session = sessions[s];
-    const media::VideoManifest manifest = manifest_for(session.spec);
-    const player::PlayerSimulator simulator(manifest, config_.player);
-    const sensors::VibrationTrack vibration(session.accel,
-                                            config_.player.vibration);
-
-    // Fresh policy instances per session; the optimal plan is per-session.
-    abr::FixedBitrate youtube;
-    abr::Festive festive;
-    abr::Bba bba(5.0, config_.player.buffer_threshold_s);
-    core::OnlineBitrateSelector ours(
-        objective,
-        {.startup_level = config_.online_startup_level,
-         .cache = config_.online_cache ? std::make_shared<core::DecisionCache>(
-                                             *config_.online_cache)
-                                       : nullptr});
-    const auto tasks =
-        core::build_task_environments(manifest, session, vibration);
-    core::OptimalPlanner planner(objective);
-    core::PlannedPolicy optimal(planner.plan(tasks));
-
-    std::vector<player::AbrPolicy*> policies = {&youtube, &festive, &bba, &ours,
-                                                &optimal};
-    abr::Bola bola(5.0, config_.player.buffer_threshold_s);
-    if (config_.include_bola) policies.push_back(&bola);
-
-    std::vector<SessionMetrics> rows;
-    rows.reserve(policies.size());
-    for (player::AbrPolicy* policy : policies) {
-      const auto playback =
-          simulator.run(*policy, session, nullptr, &vibration);
-      rows.push_back(compute_metrics(policy->name(), session.spec.id, playback,
-                                     manifest, qoe_model, power_model));
-    }
-    return rows;
-  };
-
-  const auto per_session = util::parallel_map(config_.exec.resolved_jobs(),
-                                              sessions.size(), run_session);
+  EvaluationResult result;
   for (const auto& rows : per_session) {
     result.rows.insert(result.rows.end(), rows.begin(), rows.end());
   }

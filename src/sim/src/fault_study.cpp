@@ -1,15 +1,9 @@
 #include "eacs/sim/fault_study.h"
 
 #include <cmath>
-#include <initializer_list>
 #include <map>
 #include <stdexcept>
 
-#include "eacs/abr/bba.h"
-#include "eacs/abr/festive.h"
-#include "eacs/abr/fixed.h"
-#include "eacs/core/online.h"
-#include "eacs/core/optimal.h"
 #include "eacs/net/fault_injector.h"
 #include "eacs/sim/seed_mix.h"
 #include "eacs/sim/study_grid.h"
@@ -33,33 +27,12 @@ FaultStudyResult run_fault_study(const FaultStudyConfig& config) {
   StudyGrid::check_axis("run_fault_study", config.outage_rates_per_min);
   StudyGrid::check_axis("run_fault_study", config.failure_probs);
 
-  const StudyGrid grid(config.evaluation, config.evaluation.player);
+  const Evaluation evaluation(config.evaluation);
+  const auto sessions = trace::build_all_sessions(config.evaluation.session_options);
+  const StudyGrid grid(evaluation, sessions);
   const core::Objective objective = make_objective(config.evaluation);
-  std::vector<core::OptimalPlan> plans;
-  plans.reserve(grid.size());
-  for (std::size_t s = 0; s < grid.size(); ++s) {
-    plans.push_back(core::OptimalPlanner(objective).plan(core::build_task_environments(
-        grid.manifest(s), grid.session(s), grid.track(s))));
-  }
-
-  // One unit of work: replay every policy over one session (clean, or over
-  // the given fault injector) and return the metrics in policy order. Fresh
-  // policy instances per unit (the planner output is shared, read-only).
-  const auto run_policies = [&](std::size_t s, const auto&... faults) {
-    abr::FixedBitrate youtube;
-    abr::Festive festive;
-    abr::Bba bba(5.0, config.evaluation.player.buffer_threshold_s);
-    core::OnlineBitrateSelector ours(
-        objective, {.startup_level = config.evaluation.online_startup_level});
-    core::PlannedPolicy optimal(plans[s]);
-
-    std::vector<SessionMetrics> metrics;
-    for (player::AbrPolicy* policy : std::initializer_list<player::AbrPolicy*>{
-             &youtube, &festive, &bba, &ours, &optimal}) {
-      metrics.push_back(grid.metrics(s, *policy, grid.replay(s, *policy, faults...)));
-    }
-    return metrics;
-  };
+  const auto plans = grid.baseline(
+      [&](std::size_t s) { return grid.optimal_plan(s, objective); });
 
   // Serial reduction: the accumulation order (sessions outer, policies
   // inner) is fixed regardless of how the units above were scheduled, so
@@ -81,9 +54,9 @@ FaultStudyResult run_fault_study(const FaultStudyConfig& config) {
   // Fault-free baseline per algorithm: the reference every cell's deltas
   // are taken against.
   std::map<std::string, FaultCell> baseline;
-  for (const auto& metrics : grid.baseline(run_policies)) {
-    accumulate(baseline, metrics);
-  }
+  const auto clean_metrics = grid.baseline(
+      [&](std::size_t s) { return grid.lineup(s, objective, plans[s]); });
+  for (const auto& metrics : clean_metrics) accumulate(baseline, metrics);
 
   // The grid: each unit's fault seed is a pure function of (config.seed,
   // grid index, session id), so the whole table is reproducible at any job
@@ -102,8 +75,9 @@ FaultStudyResult run_fault_study(const FaultStudyConfig& config) {
           spec.signal_threshold_dbm = config.signal_threshold_dbm;
         }
         spec.seed = seed_mix(config.seed, grid_index, session.spec.id);
-        return run_policies(s, net::FaultInjector(session.throughput_mbps, spec,
-                                                  &session.signal_dbm));
+        const net::FaultInjector faults(session.throughput_mbps, spec,
+                                        &session.signal_dbm);
+        return grid.lineup(s, objective, plans[s], &faults);
       });
 
   FaultStudyResult result;

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "eacs/sim/seed_mix.h"
+#include "eacs/util/rng.h"
 
 namespace eacs::sim {
 namespace {
@@ -40,21 +41,12 @@ bool active(double t0, double t1, double t_s) noexcept {
   return t_s >= t0 && t_s < t1;
 }
 
-/// SplitMix64 finalizer. seed_mix alone has no avalanche (it is XOR of
-/// multiplies), which is fine when the result seeds an Rng but not for a
-/// direct Bernoulli threshold: lane bits below position 11 would be wiped by
-/// seed_unit's mantissa shift, and a p = 0.5 draw would depend on bit 63
-/// alone. Finalizing diffuses every input bit across the word first.
-std::uint64_t avalanche(std::uint64_t x) noexcept {
-  x ^= x >> 30;
-  x *= 0xBF58476D1CE4E5B9ULL;
-  x ^= x >> 27;
-  x *= 0x94D049BB133111EBULL;
-  x ^= x >> 31;
-  return x;
-}
-
 /// Per-(domain, epoch) Bernoulli: pure in (seed, lane, domain, epoch).
+/// seed_mix alone has no avalanche (it is XOR of multiplies), which is fine
+/// when the result seeds an Rng but not for a direct Bernoulli threshold:
+/// lane bits below position 11 would be wiped by seed_unit's mantissa shift,
+/// and a p = 0.5 draw would depend on bit 63 alone. avalanche diffuses every
+/// input bit across the word first.
 bool episode_fires(std::uint64_t seed, std::uint64_t lane, std::size_t domain,
                    std::size_t epoch, double prob) noexcept {
   if (!(prob > 0.0)) return false;

@@ -128,7 +128,9 @@ SensorFaultStudyResult run_sensor_fault_study(
   const auto scenarios = config.scenarios.empty() ? all_sensor_fault_scenarios()
                                                   : config.scenarios;
 
-  const StudyGrid grid(config.evaluation, config.evaluation.player);
+  const Evaluation evaluation(config.evaluation);
+  const auto sessions = trace::build_all_sessions(config.evaluation.session_options);
+  const StudyGrid grid(evaluation, sessions);
   const core::Objective objective = make_objective(config.evaluation);
 
   struct UnitResult {

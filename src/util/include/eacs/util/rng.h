@@ -12,6 +12,18 @@
 
 namespace eacs {
 
+/// SplitMix64's output finalizer: a bijection that spreads every input bit
+/// across the whole word. Rng seeds each engine word with it, and callers
+/// that turn a structured key straight into a draw (no Rng) finalize the key
+/// with it first.
+constexpr std::uint64_t avalanche(std::uint64_t x) noexcept {
+  x ^= x >> 30;
+  x *= 0xBF58476D1CE4E5B9ULL;
+  x ^= x >> 27;
+  x *= 0x94D049BB133111EBULL;
+  return x ^ (x >> 31);
+}
+
 /// Complete engine state of an Rng, exposed for deterministic
 /// checkpoint/resume (DESIGN §14): restoring a captured state reproduces the
 /// remaining draw stream bit-for-bit. The fields are the raw xoshiro256**

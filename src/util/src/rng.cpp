@@ -6,14 +6,6 @@
 namespace eacs {
 namespace {
 
-std::uint64_t splitmix64(std::uint64_t& x) noexcept {
-  x += 0x9E3779B97F4A7C15ULL;
-  std::uint64_t z = x;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
-
 std::uint64_t rotl(std::uint64_t v, int k) noexcept {
   return (v << k) | (v >> (64 - k));
 }
@@ -23,8 +15,9 @@ constexpr double kPi = 3.14159265358979323846;
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) noexcept {
+  // SplitMix64: a Weyl sequence over the seed, finalized word by word.
   std::uint64_t s = seed;
-  for (auto& word : state_) word = splitmix64(s);
+  for (auto& word : state_) word = avalanche(s += 0x9E3779B97F4A7C15ULL);
   // xoshiro must not start from the all-zero state.
   if (state_[0] == 0 && state_[1] == 0 && state_[2] == 0 && state_[3] == 0) {
     state_[0] = 0x1ULL;

@@ -5,6 +5,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string_view>
 
@@ -99,6 +100,23 @@ TEST(VideoManifestTest, InvalidArgumentsThrow) {
   EXPECT_THROW(make_manifest(10.0, 0.0), std::invalid_argument);
   EXPECT_THROW(make_manifest(10.0, 2.0, 1.5), std::invalid_argument);
   EXPECT_THROW(make_manifest(10.0, 2.0, -0.1), std::invalid_argument);
+}
+
+// A NaN duration used to give 2^63 segments, and an infinite one or a
+// vanishing segment an out-of-range double-to-size_t cast; a NaN amplitude
+// used to pass and make every VBR size NaN.
+TEST(VideoManifestTest, NonFiniteInputsAndUncountableSegmentsThrow) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(make_manifest(nan, 2.0), std::invalid_argument);
+  EXPECT_THROW(make_manifest(10.0, nan), std::invalid_argument);
+  EXPECT_THROW(make_manifest(inf, 2.0), std::invalid_argument);
+  EXPECT_THROW(make_manifest(10.0, inf), std::invalid_argument);
+  EXPECT_THROW(make_manifest(10.0, 2.0, nan), std::invalid_argument);
+  EXPECT_THROW(make_manifest(60.0, 1e-300), std::invalid_argument);
+  EXPECT_THROW(make_manifest(1e300, 1e-10), std::invalid_argument);
+  // The largest counts that fit still construct.
+  EXPECT_EQ(make_manifest(1e18, 1.0).num_segments(), 1000000000000000000U);
 }
 
 TEST(VideoManifestTest, VbrSizeIsNominalTimesTheSegmentFactor) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 namespace eacs::media {
 namespace {
@@ -22,6 +23,11 @@ TEST(Iso8601Test, MalformedThrows) {
   EXPECT_THROW(parse_iso8601_duration("PT5X"), std::runtime_error);
   EXPECT_THROW(parse_iso8601_duration("PTS"), std::runtime_error);
   EXPECT_THROW(iso8601_duration(-1.0), std::invalid_argument);
+}
+
+TEST(Iso8601Test, ComponentBeyondADoubleThrowsRuntimeError) {
+  const std::string huge = "PT" + std::string(400, '9') + "S";
+  EXPECT_THROW(parse_iso8601_duration(huge), std::runtime_error);
 }
 
 VideoManifest sample_manifest(double vbr = 0.0) {
@@ -156,6 +162,21 @@ TEST(MpdTest, RejectsMalformedDocuments) {
   <Period><AdaptationSet><SegmentTemplate duration="2000" timescale="1000"/>
   </AdaptationSet></Period></MPD>)";
   EXPECT_THROW(from_mpd_xml(no_reps), std::runtime_error);
+}
+
+TEST(MpdTest, RejectsNonFiniteDurationsAndAmplitude) {
+  const auto mpd = [](const std::string& duration, const std::string& amplitude) {
+    return "<MPD mediaPresentationDuration=\"PT60S\"" + amplitude +
+           "><Period><AdaptationSet><SegmentTemplate timescale=\"1000\" "
+           "duration=\"" + duration +
+           "\"/><Representation id=\"a\" bandwidth=\"500000\"/>"
+           "</AdaptationSet></Period></MPD>";
+  };
+  EXPECT_NO_THROW(from_mpd_xml(mpd("2000", "")));
+  EXPECT_THROW(from_mpd_xml(mpd("nan", "")), std::invalid_argument);
+  EXPECT_THROW(from_mpd_xml(mpd("inf", "")), std::invalid_argument);
+  EXPECT_THROW(from_mpd_xml(mpd("2000", " eacs:vbrAmplitude=\"nan\"")),
+               std::invalid_argument);
 }
 
 }  // namespace

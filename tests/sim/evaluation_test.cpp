@@ -4,6 +4,8 @@
 
 #include <bit>
 #include <cstdint>
+#include <limits>
+#include <stdexcept>
 
 #include "eacs/abr/fixed.h"
 #include "eacs/core/optimal.h"
@@ -65,6 +67,15 @@ TEST(EvaluationTest, ProducesAllAlgorithmRows) {
   EXPECT_EQ(algos[4], "Optimal");
   EXPECT_EQ(result.rows.size(), 10U);  // 5 algorithms x 2 sessions
   EXPECT_THROW(result.row("Nope", 1), std::out_of_range);
+}
+
+TEST(EvaluationTest, RejectsANonFiniteOrNonPositiveSegmentDuration) {
+  for (const double bad : {0.0, -2.0, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    EvaluationConfig config;
+    config.segment_duration_s = bad;
+    EXPECT_THROW(Evaluation{config}, std::invalid_argument) << bad;
+  }
 }
 
 TEST(EvaluationTest, IncludeBolaAddsRows) {

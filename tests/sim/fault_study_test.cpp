@@ -82,6 +82,34 @@ TEST(FaultStudyTest, HarshCellShowsResilienceAtWork) {
   }
 }
 
+// The study replays the evaluation's own line-up: BOLA when the evaluation
+// includes it, and Ours with the evaluation's decision cache.
+TEST(FaultStudyTest, HonoursTheEvaluationLineUp) {
+  FaultStudyConfig config = small_grid();
+  config.evaluation.include_bola = true;
+  core::DecisionCacheConfig quantized;
+  quantized.exact = false;
+  config.evaluation.online_cache = quantized;
+  const auto result = run_fault_study(config);
+  EXPECT_EQ(result.cells.size(), 4U * 6U);
+  const auto& bola = result.cell("BOLA", 0.0, 0.0);
+  EXPECT_EQ(bola.qoe_delta, 0.0);
+  EXPECT_GT(result.cell("BOLA", 1.0, 0.25).retries, 0U);
+
+  // The fault-free Ours cell is the evaluation's Ours, summed in session
+  // order; a quantized cache moves it off the uncached run.
+  const auto total_energy = [](const EvaluationConfig& evaluation) {
+    double total = 0.0;
+    for (const auto& row : Evaluation(evaluation).run().rows_for("Ours")) {
+      total += row.total_energy_j;
+    }
+    return total;
+  };
+  const double cached = total_energy(config.evaluation);
+  EXPECT_EQ(result.cell("Ours", 0.0, 0.0).total_energy_j, cached);
+  EXPECT_NE(cached, total_energy(EvaluationConfig{}));
+}
+
 TEST(FaultStudyTest, UnknownCellThrows) {
   const auto result = run_fault_study(small_grid());
   EXPECT_THROW(result.cell("Nope", 0.0, 0.0), std::out_of_range);

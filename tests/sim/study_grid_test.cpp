@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include "eacs/abr/bba.h"
+
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -23,7 +25,10 @@ TEST(StudyGridTest, UnitsComeBackCellMajorAtAnyJobCount) {
     EvaluationConfig config;
     config.session_options.margin_s = 30.0;
     config.exec.jobs = jobs;
-    const StudyGrid grid(config, config.player);
+    const std::vector<trace::SessionTraces> sessions =
+        trace::build_all_sessions(config.session_options);
+    const Evaluation evaluation(config);
+    const StudyGrid grid(evaluation, sessions);
     ASSERT_GT(grid.size(), 1U);
 
     const auto baseline = grid.baseline([&](std::size_t s) {
@@ -45,6 +50,45 @@ TEST(StudyGridTest, UnitsComeBackCellMajorAtAnyJobCount) {
             << "cell " << cell << " session " << s;
       }
     }
+  }
+}
+
+// The grid borrows its sessions and builds each one's state inside the
+// fan-out: tracks and replays must not depend on the job count.
+TEST(StudyGridTest, BorrowedSessionsReplayBitEqualAtAnyJobCount) {
+  EvaluationConfig config;
+  config.session_options.margin_s = 30.0;
+  const std::vector<trace::SessionTraces> sessions =
+      trace::build_all_sessions(config.session_options);
+
+  const auto replay_all = [&](std::size_t jobs) {
+    config.exec.jobs = jobs;
+    const Evaluation evaluation(config);
+    const StudyGrid grid(evaluation, sessions);
+    EXPECT_EQ(grid.size(), sessions.size());
+    // Per session: sampled track levels, then one BBA replay's outcome.
+    std::vector<std::vector<double>> out(grid.size());
+    for (std::size_t s = 0; s < grid.size(); ++s) {
+      EXPECT_EQ(&grid.session(s), &sessions[s]) << "session " << s;
+      for (std::size_t n = 0; n <= grid.track(s).size(); n += 97) {
+        out[s].push_back(grid.track(s).level_after(n));
+      }
+      abr::Bba bba(5.0, config.player.buffer_threshold_s);
+      const player::PlaybackResult playback = grid.replay(s, bba);
+      for (const player::TaskRecord& task : playback.tasks) {
+        out[s].push_back(static_cast<double>(task.level));
+      }
+      const SessionMetrics m = grid.metrics(s, bba, playback);
+      out[s].insert(out[s].end(), {playback.session_end_s, m.total_energy_j,
+                                   m.mean_qoe, m.rebuffer_s});
+    }
+    return out;
+  };
+
+  const auto serial = replay_all(1);
+  for (const std::size_t jobs : {2U, 8U}) {
+    SCOPED_TRACE(::testing::Message() << "jobs=" << jobs);
+    EXPECT_EQ(replay_all(jobs), serial);
   }
 }
 
