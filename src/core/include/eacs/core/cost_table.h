@@ -22,6 +22,15 @@
 // differs in the last bit, is priced afresh. The CostStats counters still
 // count logical evaluations (2M+1 per table), not pow/exp calls.
 //
+// The switch term of an edge, gamma * |q0(r_j) - q0(r_j')| (0 when
+// r_j' <= 0), depends on two rungs only. A table holds it as one M x M
+// matrix, which a chained table whose rungs all match its predecessor's
+// borrows rather than prices: a CBR ladder builds one matrix per plan (two
+// with the short last segment). An edge is then a few loads, the clamp and
+// the normaliser divide, all inline. The matrix is built for the tables a
+// planner walks; Objective::reference_level, which reads only
+// edge_cost(level), builds none.
+//
 // Bit-identity contract: the table replays the *exact* floating-point
 // operations of Objective::task_cost — same subexpressions, same evaluation
 // order, clamps applied per edge — so cached plans are bitwise equal to the
@@ -29,11 +38,15 @@
 // r^beta is task_qoe's left-to-right product, energy_per_mb feeds the same
 // multiply download_energy does, and a borrowed rung is the value
 // QoeModel::rung returns for an equal bitrate. A chained table is bitwise
-// equal to an unchained one. tests/property/cost_table_properties_test.cpp
+// equal to an unchained one, and a borrowed switch matrix holds the very
+// doubles switch_impairment returns for the table's own rungs.
+// tests/property/cost_table_properties_test.cpp
 // asserts EXPECT_EQ on doubles for every consumer; do not "simplify" the
 // arithmetic here without re-certifying.
 
+#include <algorithm>
 #include <cstddef>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -48,8 +61,9 @@ class TaskCostTable {
   /// Precomputes all per-level components of task_cost(env, *, *, buffer_s).
   /// Performs M power-model and M+1 QoE-model evaluations; every edge_cost
   /// call afterwards performs none. `previous`, when given, lends its rung
-  /// terms (see above); the table is the same with or without it. Throws
-  /// std::invalid_argument on an empty ladder.
+  /// terms and, when every rung matches, its switch matrix (see above); the
+  /// table is the same with or without it. Throws std::invalid_argument on
+  /// an empty ladder.
   TaskCostTable(const Objective& objective, const TaskEnvironment& env,
                 double buffer_s, const TaskCostTable* previous = nullptr);
 
@@ -67,7 +81,8 @@ class TaskCostTable {
   /// Edge weight with switch coupling: bitwise equal to
   /// Objective::task_cost(env, level, prev_level, buffer_s).
   double edge_cost(std::size_t level, std::size_t prev_level) const noexcept {
-    double quality = quality_base_[level] - switch_impair(level, prev_level);
+    double quality =
+        quality_base_[level] - switches_[level * energy_.size() + prev_level];
     quality -= rebuffer_impair_[level];
     return weigh(level, quality);
   }
@@ -89,8 +104,21 @@ class TaskCostTable {
   double alpha() const noexcept { return alpha_; }
 
  private:
-  double switch_impair(std::size_t level, std::size_t prev_level) const noexcept;
-  double weigh(std::size_t level, double quality) const noexcept;
+  friend class Objective;
+  struct LevelsOnly {};
+
+  /// Every per-level term, no switch matrix: for callers that read only
+  /// edge_cost(level) (Objective::reference_level).
+  TaskCostTable(LevelsOnly, const Objective& objective,
+                const TaskEnvironment& env, double buffer_s,
+                const TaskCostTable* previous);
+
+  double weigh(std::size_t level, double quality) const noexcept {
+    // segment_qoe's final clamp, then task_cost's weighted sum, verbatim.
+    quality = std::clamp(quality, qoe_params_.mos_min, qoe_params_.mos_max);
+    const double q_term = quality_max_ > 0.0 ? quality / quality_max_ : 0.0;
+    return e_cost_[level] - one_minus_alpha_ * q_term;
+  }
 
   // Per-level components (SoA, contiguous).
   std::vector<double> energy_;            ///< task_energy(env, j, buffer_s)
@@ -100,6 +128,11 @@ class TaskCostTable {
   std::vector<qoe::RungQuality> rungs_;   ///< r_j, q0(r_j), r_j^beta
   std::vector<double> rebuffer_s_;        ///< expected stall at this level
   std::vector<double> rebuffer_impair_;   ///< mu * max(0, rebuffer_s[j])
+
+  /// Switch matrix, row-major [j * M + j']: the switch impairment of level
+  /// j after level j'. Shared along a chain of tables with equal rungs;
+  /// null in a LevelsOnly table.
+  std::shared_ptr<const double[]> switches_;
 
   // Per-task scalars.
   double energy_max_ = 0.0;    ///< task_energy at the top rung (normaliser)

@@ -70,6 +70,8 @@ class Objective {
   /// reference-bitrate computation (line 4). With `chain`, the task's cost
   /// table reuses the rungs of the table `*chain` holds (see TaskCostTable)
   /// and is left there for the next call; the level is the same either way.
+  /// That table prices no switch matrix: read only its edge_cost(level) and
+  /// components, or lend it as a `previous`.
   std::size_t reference_level(const TaskEnvironment& env, double buffer_s,
                               std::optional<TaskCostTable>* chain = nullptr) const;
 

@@ -10,6 +10,39 @@ namespace eacs::core {
 
 TaskCostTable::TaskCostTable(const Objective& objective,
                              const TaskEnvironment& env, double buffer_s,
+                             const TaskCostTable* previous)
+    : TaskCostTable(LevelsOnly{}, objective, env, buffer_s, previous) {
+  const std::size_t m = rungs_.size();
+  // A predecessor with a matrix and the same rungs at every level (same QoE
+  // model, equal bitrates, hence equal q0) holds exactly the matrix this
+  // table would build.
+  bool borrow = previous != nullptr && previous->switches_ != nullptr &&
+                previous->rungs_.size() == m &&
+                previous->qoe_params_ == qoe_params_;
+  for (std::size_t level = 0; borrow && level < m; ++level) {
+    borrow = previous->rungs_[level].bitrate_mbps == rungs_[level].bitrate_mbps;
+  }
+  if (borrow) {
+    switches_ = previous->switches_;
+    return;
+  }
+  // switch_impairment, per (level, prev_level): it guards on the *previous*
+  // bitrate only.
+  std::shared_ptr<double[]> switches = std::make_shared<double[]>(m * m);
+  for (std::size_t level = 0; level < m; ++level) {
+    for (std::size_t prev = 0; prev < m; ++prev) {
+      switches[level * m + prev] =
+          rungs_[prev].bitrate_mbps <= 0.0
+              ? 0.0
+              : qoe_params_.switch_penalty *
+                    std::fabs(rungs_[level].original - rungs_[prev].original);
+    }
+  }
+  switches_ = std::move(switches);
+}
+
+TaskCostTable::TaskCostTable(LevelsOnly, const Objective& objective,
+                             const TaskEnvironment& env, double buffer_s,
                              const TaskCostTable* previous) {
   if (env.size_megabits.empty()) {
     throw std::invalid_argument(
@@ -77,21 +110,6 @@ TaskCostTable::TaskCostTable(const Objective& objective,
     e_cost_[level] = alpha_ * e_term_[level];
   }
   if (stats) ++stats->tables_built;
-}
-
-double TaskCostTable::switch_impair(std::size_t level,
-                                    std::size_t prev_level) const noexcept {
-  // switch_impairment guards on the *previous* bitrate only.
-  if (rungs_[prev_level].bitrate_mbps <= 0.0) return 0.0;
-  return qoe_params_.switch_penalty *
-         std::fabs(rungs_[level].original - rungs_[prev_level].original);
-}
-
-double TaskCostTable::weigh(std::size_t level, double quality) const noexcept {
-  // segment_qoe's final clamp, then task_cost's weighted sum, verbatim.
-  quality = std::clamp(quality, qoe_params_.mos_min, qoe_params_.mos_max);
-  const double q_term = quality_max_ > 0.0 ? quality / quality_max_ : 0.0;
-  return e_cost_[level] - one_minus_alpha_ * q_term;
 }
 
 void TaskCostTable::reweight(double alpha) noexcept {

@@ -95,7 +95,8 @@ std::size_t Objective::reference_level(const TaskEnvironment& env,
   // re-deriving the per-task normalisers for every candidate (O(M) costs,
   // each re-evaluating 4 models). Bit-identical argmin: the cached costs
   // are bitwise equal to task_cost and the strict-< scan is unchanged.
-  TaskCostTable table(*this, env, buffer_s,
+  // Only edge_cost(level) is read, so the table prices no switch matrix.
+  TaskCostTable table(TaskCostTable::LevelsOnly{}, *this, env, buffer_s,
                       chain != nullptr && chain->has_value() ? &**chain : nullptr);
   std::size_t best = 0;
   double best_cost = table.edge_cost(0);

@@ -14,6 +14,10 @@ std::vector<TaskEnvironment> build_task_environments(
   std::vector<TaskEnvironment> tasks;
   tasks.reserve(manifest.num_segments());
 
+  // The segments tile the session in time order, so each trace is walked
+  // once by a cursor (bit-identical to the stateless mean_over).
+  trace::TimeSeriesCursor signal(session.signal_dbm);
+  trace::TimeSeriesCursor throughput(session.throughput_mbps);
   std::size_t accel_cursor = 0;
   const std::size_t levels = manifest.ladder().size();
   for (std::size_t i = 0; i < manifest.num_segments(); ++i) {
@@ -22,8 +26,8 @@ std::vector<TaskEnvironment> build_task_environments(
     env.duration_s = manifest.segment_duration(i);
     const double t0 = static_cast<double>(i) * manifest.segment_duration_s();
     const double t1 = t0 + env.duration_s;
-    env.signal_dbm = session.signal_dbm.mean_over(t0, t1);
-    env.bandwidth_mbps = session.throughput_mbps.mean_over(t0, t1);
+    env.signal_dbm = signal.mean_over(t0, t1);
+    env.bandwidth_mbps = throughput.mean_over(t0, t1);
     accel_cursor = vibration.advance(accel_cursor, t0);
     env.vibration = vibration.level_after(accel_cursor);
     env.size_megabits.reserve(levels);

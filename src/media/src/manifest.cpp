@@ -49,6 +49,11 @@ VideoManifest::VideoManifest(std::string video_id, double total_duration_s,
   if (!(count < static_cast<double>(std::numeric_limits<std::size_t>::max()))) {
     throw std::invalid_argument("VideoManifest: segment count out of range");
   }
+  // A duration far below one segment rounds (ceil of a slightly negative
+  // ratio) to zero segments: a manifest with nothing to play.
+  if (!(count >= 1.0)) {
+    throw std::invalid_argument("VideoManifest: fewer than one segment");
+  }
   num_segments_ = static_cast<std::size_t>(count);
 }
 

@@ -47,13 +47,16 @@ std::string iso8601_duration(double seconds) {
 }
 
 double parse_iso8601_duration(std::string_view text) {
-  if (text.substr(0, 2) != "PT") {
-    throw std::runtime_error("parse_iso8601_duration: expected 'PT' prefix in '" +
-                             std::string(text) + "'");
-  }
+  const auto malformed = [&](const char* what) {
+    return std::runtime_error(std::string("parse_iso8601_duration: ") + what +
+                              " in '" + std::string(text) + "'");
+  };
+  if (text.substr(0, 2) != "PT") throw malformed("expected 'PT' prefix");
   double total = 0.0;
   std::size_t pos = 2;
-  bool any_component = false;
+  // Units must appear at most once each, in H, M, S order.
+  constexpr std::string_view kUnits = "HMS";
+  std::size_t next_unit = 0;
   while (pos < text.size()) {
     std::size_t digits_end = pos;
     while (digits_end < text.size() &&
@@ -61,33 +64,31 @@ double parse_iso8601_duration(std::string_view text) {
             text[digits_end] == '.')) {
       ++digits_end;
     }
-    if (digits_end == pos || digits_end >= text.size()) {
-      throw std::runtime_error("parse_iso8601_duration: malformed '" +
-                               std::string(text) + "'");
-    }
+    if (digits_end == pos || digits_end >= text.size()) throw malformed("malformed");
+    const std::string number(text.substr(pos, digits_end - pos));
     double value = 0.0;
+    std::size_t consumed = 0;
     try {
-      value = std::stod(std::string(text.substr(pos, digits_end - pos)));
+      value = std::stod(number, &consumed);
     } catch (const std::out_of_range&) {
-      throw std::runtime_error("parse_iso8601_duration: component out of range in '" +
-                               std::string(text) + "'");
+      throw malformed("component out of range");
+    } catch (const std::invalid_argument&) {
+      throw malformed("malformed number");
     }
-    const char unit = text[digits_end];
-    switch (unit) {
+    // stod stops at a second '.', so "1.2.3" would otherwise read as 1.2.
+    if (consumed != number.size()) throw malformed("malformed number");
+    const std::size_t unit = kUnits.find(text[digits_end]);
+    if (unit == std::string_view::npos) throw malformed("unknown unit");
+    if (unit < next_unit) throw malformed("repeated or out-of-order unit");
+    next_unit = unit + 1;
+    switch (kUnits[unit]) {
       case 'H': total += value * 3600.0; break;
       case 'M': total += value * 60.0; break;
-      case 'S': total += value; break;
-      default:
-        throw std::runtime_error("parse_iso8601_duration: unknown unit in '" +
-                                 std::string(text) + "'");
+      default: total += value; break;
     }
-    any_component = true;
     pos = digits_end + 1;
   }
-  if (!any_component) {
-    throw std::runtime_error("parse_iso8601_duration: no components in '" +
-                             std::string(text) + "'");
-  }
+  if (next_unit == 0) throw malformed("no components");
   return total;
 }
 

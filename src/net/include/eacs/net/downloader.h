@@ -6,6 +6,7 @@
 // trace's time-integral. This is the primitive the player simulator uses to
 // replay DASH sessions against recorded or synthetic network traces.
 
+#include <cstddef>
 #include <memory>
 
 #include "eacs/trace/time_series.h"
@@ -47,6 +48,15 @@ class SegmentDownloader {
   /// `start_s`. Throws std::invalid_argument for negative sizes.
   DownloadResult download(double start_s, double size_megabits) const;
 
+  /// The same transfer, with the start resolved by `cursor` (walking from
+  /// its last position) instead of a binary search over the trace. Bitwise
+  /// identical to the stateless overload for any sequence of starts: both
+  /// run one body over the resolved index. A replay whose clock moves
+  /// forward keeps one cursor per trace and pays amortised O(1) per
+  /// transfer. Throws std::invalid_argument if `cursor` walks another trace.
+  DownloadResult download(trace::TimeSeriesCursor& cursor, double start_s,
+                          double size_megabits) const;
+
   /// Instantaneous available bandwidth at `t_s` (linear interpolation).
   ///
   /// At a step discontinuity — duplicate timestamps t in the trace — the
@@ -61,6 +71,11 @@ class SegmentDownloader {
 
  private:
   void validate() const;
+  static void check_size(double size_megabits);
+  /// The one transfer body, given `index ==
+  /// trace().index_at_or_before(start_s)`.
+  DownloadResult download_from(std::size_t index, double start_s,
+                               double size_megabits) const;
 
   std::shared_ptr<const trace::TimeSeries> throughput_;
 };

@@ -58,32 +58,53 @@ double SegmentDownloader::bandwidth_at(double t_s) const {
   return throughput_->linear_at(t_s);
 }
 
-DownloadResult SegmentDownloader::download(double start_s, double size_megabits) const {
+DownloadResult SegmentDownloader::download(double start_s,
+                                           double size_megabits) const {
+  check_size(size_megabits);
+  return download_from(throughput_->index_at_or_before(start_s), start_s,
+                       size_megabits);
+}
+
+DownloadResult SegmentDownloader::download(trace::TimeSeriesCursor& cursor,
+                                           double start_s,
+                                           double size_megabits) const {
+  if (&cursor.series() != throughput_.get()) {
+    throw std::invalid_argument(
+        "SegmentDownloader: cursor walks a different trace");
+  }
+  check_size(size_megabits);
+  return download_from(cursor.seek(start_s), start_s, size_megabits);
+}
+
+void SegmentDownloader::check_size(double size_megabits) {
   if (size_megabits < 0.0) {
     throw std::invalid_argument("SegmentDownloader: negative size");
   }
+}
+
+DownloadResult SegmentDownloader::download_from(std::size_t index, double start_s,
+                                                double size_megabits) const {
+  const trace::TimeSeries& trace = *throughput_;
   DownloadResult result;
   result.start_s = start_s;
   result.size_megabits = size_megabits;
   if (size_megabits == 0.0) {
     result.end_s = start_s;
-    result.mean_throughput_mbps = bandwidth_at(start_s);
+    result.mean_throughput_mbps = trace.linear_value_from(index, start_s);
     return result;
   }
 
   double remaining = size_megabits;
   double cursor = start_s;
-  double cursor_value = throughput_->linear_at(start_s);
+  double cursor_value = trace.linear_value_from(index, start_s);
 
-  // Walk the trace breakpoints after the start time. The first one is found
-  // by binary search: on a sorted trace this lands on exactly the first
-  // sample the old `t_s <= start_s` linear skip would have kept, so the
-  // accumulation below is bit-identical to the linear-scan version.
-  const auto samples = throughput_->samples();
-  auto it = std::upper_bound(samples.begin(), samples.end(), start_s,
-                             [](double t, const trace::TimePoint& p) { return t < p.t_s; });
-  for (; it != samples.end(); ++it) {
-    const auto& point = *it;
+  // Walk the trace breakpoints after the start time, from the first one
+  // strictly after it: exactly the samples the old `t_s <= start_s` linear
+  // skip would have kept, so the accumulation below is bit-identical to the
+  // linear-scan version.
+  const auto samples = trace.samples();
+  for (std::size_t i = trace.first_after(index, start_s); i < samples.size(); ++i) {
+    const auto& point = samples[i];
     const double dt = point.t_s - cursor;
     if (dt <= 0.0) {
       // Zero-width breakpoint (duplicate timestamp): a step discontinuity.

@@ -189,6 +189,13 @@ struct SessionRuntime {
                : client.context->signal_dbm.linear_at(t_s);
   }
 
+  /// Mean signal strength over [t0, t1] through the cursor when engaged.
+  double signal_mean(const SessionClient& client, double t0, double t1) {
+    return signal_cursor.has_value()
+               ? signal_cursor->mean_over(t0, t1)
+               : client.context->signal_dbm.mean_over(t0, t1);
+  }
+
   /// Decision-time sensing: advances the vibration clock (and the perceived
   /// streams when sensor faults are active) to `now` and fills the sensed
   /// fields of `context`. Returns the *true* vibration level;
@@ -514,14 +521,18 @@ PlaybackResult SessionEngine::run_analytic(const SessionClient& client,
   const bool unreliable = link.unreliable();
   // Inner-loop fast paths. `fast` devirtualizes the reliable download: on a
   // certifiably trivial link every attempt() is a plain download() on that
-  // downloader, so the per-segment virtual dispatch is skipped. The signal
-  // cursor turns the per-segment signal lookups (which move almost
-  // monotonically with the session clock) from full binary searches into
-  // amortised O(1) walks. Both are bit-identical to the reference path —
-  // tests/differential/ asserts it per scenario; reference_mode forces the
-  // original code for that comparison.
+  // downloader, so the per-segment virtual dispatch is skipped, and its
+  // transfers resolve their start through a throughput cursor. The signal
+  // cursor does the same for the per-segment signal lookups. Both traces
+  // are queried at times that move forward with the session clock, so the
+  // full binary searches become amortised O(1) walks. All of it is
+  // bit-identical to the reference path — tests/differential/ asserts it per
+  // scenario; reference_mode forces the stateless lookups for that
+  // comparison.
   const net::SegmentDownloader* fast =
       (config_.reference_mode || unreliable) ? nullptr : link.fast_downloader();
+  std::optional<trace::TimeSeriesCursor> throughput_cursor;
+  if (fast != nullptr) throughput_cursor.emplace(fast->trace());
   // Estimators, vibration clock, signal cursor and (when sensor faults are
   // attached AND active) the perceived-context rewire, all built by the one
   // construction path every mode shares.
@@ -621,8 +632,9 @@ PlaybackResult SessionEngine::run_analytic(const SessionClient& client,
       const double size_megabits = manifest.segment_size_megabits(i, requested);
       emit_event(observer, SessionEventType::kRequestIssued, now, 0, i, 0,
                  requested, buffer, size_megabits);
-      success = fast != nullptr ? fast->download(now, size_megabits)
-                                : link.attempt(i, 0, now, size_megabits).result;
+      success = fast != nullptr
+                    ? fast->download(*throughput_cursor, now, size_megabits)
+                    : link.attempt(i, 0, now, size_megabits).result;
     } else {
       // --- Per-segment retry machine ------------------------------------
       // One machine for every unreliable analytic link. Each attempt goes
@@ -877,7 +889,7 @@ PlaybackResult SessionEngine::run_analytic(const SessionClient& client,
     task.throughput_mbps = success.mean_throughput_mbps;
     task.signal_dbm =
         download_time > 0.0
-            ? session.signal_dbm.mean_over(success.start_s, success.end_s)
+            ? runtime.signal_mean(client, success.start_s, success.end_s)
             : runtime.signal_at(client, success.start_s);
     task.rebuffer_s = stall_total;
     task.retries = attempt;

@@ -17,7 +17,7 @@ struct TimePoint {
 
 /// Monotonic time series with step and linear interpolation lookups.
 ///
-/// Timestamps must be non-decreasing. Duplicate (zero-width) timestamps are
+/// Timestamps must be finite and non-decreasing. Duplicate (zero-width) timestamps are
 /// allowed and represent a step discontinuity: at exactly the shared time the
 /// *last* duplicate's value wins, which is how outage edges and real CSV
 /// recordings with repeated timestamps are modelled.
@@ -25,10 +25,12 @@ class TimeSeries {
  public:
   TimeSeries() = default;
 
-  /// Builds from samples; throws std::invalid_argument if timestamps decrease.
+  /// Builds from samples; throws std::invalid_argument if a timestamp is not
+  /// finite or timestamps decrease.
   explicit TimeSeries(std::vector<TimePoint> samples);
 
-  /// Appends a sample; throws if `t_s` moves backwards in time.
+  /// Appends a sample; throws std::invalid_argument if `t_s` is not finite
+  /// or moves backwards in time.
   void append(double t_s, double value);
 
   bool empty() const noexcept { return samples_.empty(); }
@@ -52,6 +54,8 @@ class TimeSeries {
   double mean_over(double t0, double t1) const;
 
   /// Time-integral of `linear_at` over [t0, t1] (e.g. Mbps * s = Mbits).
+  /// Throws std::invalid_argument if t1 < t0. One binary search (for t0);
+  /// the breakpoint walk resolves t1.
   double integral_over(double t0, double t1) const;
 
   /// All values, in time order.
@@ -67,13 +71,29 @@ class TimeSeries {
   /// through, exposed so cursor implementations can certify against it.
   std::size_t index_at_or_before(double t_s) const;
 
+  // --- Resolved-index primitives -------------------------------------------
+  // Each lookup has one arithmetic body that takes `index ==
+  // index_at_or_before(t_s)`. The stateless lookups resolve that index by
+  // binary search, TimeSeriesCursor by walking from its hint, so the two
+  // paths are the same arithmetic (bit-identical by construction, not by
+  // accident). Trace walkers outside this class (net::SegmentDownloader)
+  // build on the same two primitives.
+
+  /// Interpolated value given `index == index_at_or_before(t_s)`: the body
+  /// of linear_at.
+  double linear_value_from(std::size_t index, double t_s) const;
+
+  /// First sample strictly after `t_s` (size() when none), given `index ==
+  /// index_at_or_before(t_s)`: where a forward breakpoint walk from t_s
+  /// starts.
+  std::size_t first_after(std::size_t index, double t_s) const;
+
  private:
   friend class TimeSeriesCursor;
 
-  /// Interpolated value given `index == index_at_or_before(t_s)`. Shared by
-  /// linear_at and TimeSeriesCursor so the two paths are the same arithmetic
-  /// (bit-identical by construction, not by accident).
-  double linear_value_from(std::size_t index, double t_s) const;
+  /// Body of integral_over for t1 > t0 (or a NaN bound), given `index ==
+  /// index_at_or_before(t0)`; leaves `index == index_at_or_before(t1)`.
+  double integral_from(std::size_t& index, double t0, double t1) const;
 
   std::vector<TimePoint> samples_;
 };
@@ -87,10 +107,12 @@ class TimeSeries {
 ///
 /// Contract (certified by tests/trace/time_series_cursor_test.cpp and the
 /// differential harness):
-///  * step_at / linear_at return values bitwise identical to the cursorless
-///    TimeSeries lookups for ANY query sequence — forward, backward or
-///    repeated times, including duplicate-timestamp step edges (the lookup
-///    resolves to the last duplicate: right-continuous, last wins);
+///  * step_at / linear_at / integral_over / mean_over return values bitwise
+///    identical to the cursorless TimeSeries lookups for ANY query sequence —
+///    forward, backward or repeated times, NaN included, and
+///    duplicate-timestamp step edges (the lookup resolves to the last
+///    duplicate: right-continuous, last wins). Each pair shares one body
+///    over the resolved index; only the index search differs;
 ///  * the cursor never mutates the series; many cursors may share one;
 ///  * appending to the series keeps the cursor valid (the resolved prefix is
 ///    immutable); destroying or moving the series invalidates it — the
@@ -108,11 +130,21 @@ class TimeSeriesCursor {
   /// covered range. Bitwise identical to TimeSeries::linear_at.
   double linear_at(double t_s);
 
- private:
-  /// Resolves index_at_or_before(t_s) by walking from the cached hint,
-  /// falling back to the full binary search when the target is far away.
+  /// Bitwise identical to TimeSeries::integral_over; leaves the cursor at
+  /// t1, so a forward walk of adjacent intervals searches nothing.
+  double integral_over(double t0, double t1);
+
+  /// Bitwise identical to TimeSeries::mean_over.
+  double mean_over(double t0, double t1);
+
+  /// Resolves TimeSeries::index_at_or_before(t_s) by walking from the cached
+  /// hint, falling back to the full binary search when the target is far
+  /// away (or t_s is NaN), and moves the hint there.
   std::size_t seek(double t_s);
 
+  const TimeSeries& series() const noexcept { return *series_; }
+
+ private:
   const TimeSeries* series_;
   std::size_t hint_ = 0;
 };

@@ -119,6 +119,13 @@ TEST(VideoManifestTest, NonFiniteInputsAndUncountableSegmentsThrow) {
   EXPECT_EQ(make_manifest(1e18, 1.0).num_segments(), 1000000000000000000U);
 }
 
+// ceil(1e-12 / 2 - 1e-9) is -0: the manifest used to build with 0 segments.
+TEST(VideoManifestTest, DurationBelowOneSegmentCountThrows) {
+  EXPECT_THROW(make_manifest(1e-12, 2.0), std::invalid_argument);
+  EXPECT_THROW(make_manifest(1e-9, 1.0), std::invalid_argument);
+  EXPECT_EQ(make_manifest(1e-6, 2.0).num_segments(), 1U);
+}
+
 TEST(VideoManifestTest, VbrSizeIsNominalTimesTheSegmentFactor) {
   // The documented model, bit for bit: nominal * (1 + amplitude * w), with w
   // seeded by the FNV-1a hash of the video id.

@@ -25,6 +25,19 @@ TEST(Iso8601Test, MalformedThrows) {
   EXPECT_THROW(iso8601_duration(-1.0), std::invalid_argument);
 }
 
+// std::stod stops at a second '.', so "PT1.2.3S" used to read as 1.2 s, and
+// units were summed in any order and any number of times ("PT1H1H" was
+// 7200 s). A lone '.' used to escape as std::invalid_argument.
+TEST(Iso8601Test, PartialNumbersAndRepeatedOrUnorderedUnitsThrow) {
+  for (const char* text : {"PT1.2.3S", "PT1..5S", "PT.S", "PT1H1H", "PT1S1M",
+                           "PT1M1H", "PT2S3S", "PT1H2M3S4S"}) {
+    EXPECT_THROW(parse_iso8601_duration(text), std::runtime_error) << text;
+  }
+  EXPECT_DOUBLE_EQ(parse_iso8601_duration("PT1H3S"), 3603.0);
+  EXPECT_DOUBLE_EQ(parse_iso8601_duration("PT.5S"), 0.5);
+  EXPECT_DOUBLE_EQ(parse_iso8601_duration("PT2.M"), 120.0);
+}
+
 TEST(Iso8601Test, ComponentBeyondADoubleThrowsRuntimeError) {
   const std::string huge = "PT" + std::string(400, '9') + "S";
   EXPECT_THROW(parse_iso8601_duration(huge), std::runtime_error);

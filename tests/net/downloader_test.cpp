@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <random>
 #include <stdexcept>
 
 #include "eacs/net/bandwidth_estimator.h"
@@ -163,6 +166,67 @@ TEST(SegmentDownloaderTest, LaterStartUsesLaterBandwidth) {
   const auto fast = downloader.download(60.0, 10.0);
   EXPECT_GT(slow.duration_s(), 4.0);
   EXPECT_LT(fast.duration_s(), 1.0);
+}
+
+std::uint64_t bits_of(double x) {
+  std::uint64_t out = 0;
+  std::memcpy(&out, &x, sizeof(out));
+  return out;
+}
+
+void expect_same_result(const DownloadResult& a, const DownloadResult& b) {
+  EXPECT_EQ(bits_of(a.start_s), bits_of(b.start_s));
+  EXPECT_EQ(bits_of(a.end_s), bits_of(b.end_s));
+  EXPECT_EQ(bits_of(a.size_megabits), bits_of(b.size_megabits));
+  EXPECT_EQ(bits_of(a.mean_throughput_mbps), bits_of(b.mean_throughput_mbps));
+}
+
+// The cursor overload runs the stateless body from a walked index: on any
+// walk of starts — forward with the clock, backward, repeated, before the
+// trace and past it — and any size, zero included, the results are the same
+// bits. The traces carry duplicate-timestamp step edges, zero-rate outages
+// and, for odd seeds, a dead tail.
+TEST(SegmentDownloaderTest, CursorDownloadsMatchStatelessBitwise) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    std::mt19937_64 rng(seed);
+    std::uniform_real_distribution<double> gap(0.0, 1.5);
+    std::uniform_real_distribution<double> rate(0.0, 12.0);
+    std::bernoulli_distribution duplicate(0.15);
+    std::bernoulli_distribution outage(0.1);
+    trace::TimeSeries trace;
+    double t = 0.0;
+    for (int i = 0; i < 300; ++i) {
+      if (i > 0 && !duplicate(rng)) t += gap(rng);
+      trace.append(t, outage(rng) ? 0.0 : rate(rng));
+    }
+    if (seed % 2 == 1) trace.append(t + 1.0, 0.0);  // dead tail
+    const SegmentDownloader downloader(std::move(trace));
+    trace::TimeSeriesCursor cursor(downloader.trace());
+    std::uniform_real_distribution<double> size(0.0, 30.0);
+    std::uniform_real_distribution<double> anywhere(-5.0, t + 20.0);
+    std::bernoulli_distribution jump(0.1);
+    std::bernoulli_distribution zero(0.1);
+    double start = -1.0;
+    for (int q = 0; q < 1500; ++q) {
+      const double megabits = zero(rng) ? 0.0 : size(rng);
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " query " << q);
+      const DownloadResult walked = downloader.download(cursor, start, megabits);
+      expect_same_result(walked, downloader.download(start, megabits));
+      // Mostly the next request starts where this one ended.
+      start = jump(rng) ? anywhere(rng) : walked.end_s;
+      if (start > t + 50.0) start = anywhere(rng);
+    }
+  }
+}
+
+TEST(SegmentDownloaderTest, CursorOverloadChecksItsInputs) {
+  const SegmentDownloader downloader(constant_rate(8.0));
+  const trace::TimeSeries other = constant_rate(8.0);
+  trace::TimeSeriesCursor foreign(other);
+  EXPECT_THROW(downloader.download(foreign, 0.0, 1.0), std::invalid_argument);
+  trace::TimeSeriesCursor cursor(downloader.trace());
+  EXPECT_THROW(downloader.download(cursor, 0.0, -1.0), std::invalid_argument);
+  EXPECT_NEAR(downloader.download(cursor, 1.0, 16.0).end_s, 3.0, 1e-9);
 }
 
 TEST(HarmonicMeanEstimatorTest, MatchesFormula) {

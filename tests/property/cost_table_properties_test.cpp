@@ -308,6 +308,39 @@ TEST(CostTableChain, ChainedTablesMatchUnchainedBitwise) {
                       TaskCostTable(objective, tasks[1], 12.0));
 }
 
+TEST(CostTableChain, SwitchMatrixFollowsEveryRungThroughReweight) {
+  // A chained table borrows its predecessor's switch matrix only when every
+  // rung matches. Two chains where that fails for one task: the CBR short
+  // last segment (every bitrate differs in the last bit), and a middle task
+  // with one rung moved (the other rungs still match). Each table, and
+  // every edge of it, must equal the table built alone and task_cost, before
+  // and after re-weighting the whole chain.
+  const media::VideoManifest manifest("chain", 61.3, 2.0,
+                                      media::BitrateLadder::evaluation14());
+  auto short_last = manifest_tasks(manifest, 23);
+  auto one_rung_moved = manifest_tasks(
+      media::VideoManifest("chain", 20.0, 2.0, media::BitrateLadder::evaluation14()), 29);
+  one_rung_moved[4].size_megabits[7] *= 1.5;
+  for (const auto* tasks : {&short_last, &one_rung_moved}) {
+    auto chained = build_cost_tables(make_objective(0.5), *tasks, 12.0);
+    for (const double alpha : {0.5, 0.0, 0.8, 1.0}) {
+      const Objective fresh = make_objective(alpha);
+      for (auto& table : chained) table.reweight(alpha);
+      for (std::size_t i = 0; i < tasks->size(); ++i) {
+        SCOPED_TRACE(testing::Message() << "alpha " << alpha << " task " << i);
+        const TaskEnvironment& env = (*tasks)[i];
+        expect_tables_equal(chained[i], TaskCostTable(fresh, env, 12.0));
+        for (std::size_t j = 0; j < env.size_megabits.size(); ++j) {
+          for (std::size_t jp = 0; jp < env.size_megabits.size(); ++jp) {
+            ASSERT_EQ(chained[i].edge_cost(j, jp), fresh.task_cost(env, j, jp, 12.0))
+                << j << " " << jp;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(CostTableReweight, ReweightedTableMatchesFreshObjective) {
   // The Pareto sweep's reuse path: build at one alpha, reweight to another,
   // compare against a table/objective built at the target alpha directly.

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <random>
 #include <stdexcept>
 #include <vector>
@@ -67,6 +68,85 @@ TEST(TimeSeriesCursorTest, RandomWalkMatchesStatelessLookupsBitwise) {
           << "seed " << seed << " query " << q << " t=" << t;
     }
   }
+}
+
+// A NaN query used to leave the cursor where it was, while the stateless
+// search resolves NaN to the last sample: linear_at(NaN) read 4 stateless
+// and NaN through a cursor, step_at(NaN) 4 against whatever the hint held.
+TEST(TimeSeriesCursorTest, NanQueryResolvesLikeTheStatelessLookup) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const TimeSeries series({{0.0, 1.0}, {1.0, 2.0}, {2.0, 3.0}, {3.0, 4.0}});
+  for (const double warm : {-1.0, 0.0, 0.5, 1.5, 3.0, 9.0}) {
+    TimeSeriesCursor cursor(series);
+    cursor.step_at(warm);
+    EXPECT_EQ(bits_of(cursor.step_at(nan)), bits_of(series.step_at(nan))) << warm;
+    cursor.linear_at(warm);
+    EXPECT_EQ(bits_of(cursor.linear_at(nan)), bits_of(series.linear_at(nan))) << warm;
+    // And the cursor is usable afterwards.
+    EXPECT_EQ(bits_of(cursor.linear_at(0.25)), bits_of(series.linear_at(0.25)));
+  }
+}
+
+// Cursor integral_over / mean_over against the stateless calls, on the
+// random query walk: forward, backward and repeated intervals, bounds before
+// the first and past the last sample, and empty intervals.
+TEST(TimeSeriesCursorTest, RandomIntervalsMatchStatelessIntegralsBitwise) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    const TimeSeries series = random_series(seed, 200);
+    TimeSeriesCursor cursor(series);
+    std::mt19937_64 rng(seed * 104729);
+    std::uniform_real_distribution<double> step(-3.0, 5.0);
+    std::uniform_real_distribution<double> width(0.0, 6.0);
+    std::uniform_real_distribution<double> anywhere(-10.0, series.end_time() + 10.0);
+    std::bernoulli_distribution jump(0.1);
+    std::bernoulli_distribution repeat(0.1);
+    std::bernoulli_distribution empty(0.05);
+    std::bernoulli_distribution on_sample(0.2);
+    double t0 = -5.0;
+    double t1 = t0;
+    for (int q = 0; q < 2000; ++q) {
+      if (!repeat(rng)) {
+        t0 = jump(rng) ? anywhere(rng) : t0 + step(rng);
+        // Start on a sample now and then, duplicate step edges included.
+        if (on_sample(rng)) t0 = series.at(rng() % series.size()).t_s;
+        t1 = empty(rng) ? t0 : t0 + width(rng);
+      }
+      ASSERT_EQ(bits_of(cursor.integral_over(t0, t1)),
+                bits_of(series.integral_over(t0, t1)))
+          << "seed " << seed << " query " << q << " [" << t0 << ", " << t1 << "]";
+      ASSERT_EQ(bits_of(cursor.mean_over(t0, t1)), bits_of(series.mean_over(t0, t1)))
+          << "seed " << seed << " query " << q << " [" << t0 << ", " << t1 << "]";
+      // Point lookups interleaved with the integrals see the same index.
+      ASSERT_EQ(bits_of(cursor.linear_at(t1)), bits_of(series.linear_at(t1)));
+    }
+  }
+}
+
+TEST(TimeSeriesCursorTest, IntegralEdgeCasesMatchTheSeries) {
+  const TimeSeries series({{1.0, 4.0}, {2.0, 8.0}, {2.0, 0.0}, {3.0, 6.0}, {5.0, 2.0}});
+  TimeSeriesCursor cursor(series);
+  const double intervals[][2] = {
+      {-3.0, -1.0}, {-1.0, 1.5}, {2.0, 2.0}, {1.5, 2.0}, {2.0, 4.0}, {4.0, 9.0},
+      {7.0, 8.0},   {-2.0, 9.0}, {2.0, 3.0}, {0.0, 0.0}, {3.0, 3.5}, {1.0, 5.0}};
+  for (const auto& iv : intervals) {
+    EXPECT_EQ(bits_of(cursor.integral_over(iv[0], iv[1])),
+              bits_of(series.integral_over(iv[0], iv[1])))
+        << iv[0] << " " << iv[1];
+    EXPECT_EQ(bits_of(cursor.mean_over(iv[0], iv[1])),
+              bits_of(series.mean_over(iv[0], iv[1])))
+        << iv[0] << " " << iv[1];
+  }
+  EXPECT_EQ(cursor.integral_over(2.0, 2.0), 0.0);
+  EXPECT_EQ(series.integral_over(-2.0, -1.0), 4.0);  // first value held
+  EXPECT_EQ(series.integral_over(6.0, 8.0), 4.0);    // last value held
+  EXPECT_THROW(cursor.integral_over(2.0, 1.0), std::invalid_argument);
+  EXPECT_THROW(series.integral_over(2.0, 1.0), std::invalid_argument);
+  // mean_over of an inverted interval is the point value, as the series'.
+  EXPECT_EQ(bits_of(cursor.mean_over(3.0, 1.0)), bits_of(series.mean_over(3.0, 1.0)));
+  TimeSeries empty_series;
+  TimeSeriesCursor empty_cursor(empty_series);
+  EXPECT_THROW(empty_cursor.integral_over(0.0, 1.0), std::logic_error);
+  EXPECT_THROW(empty_series.integral_over(0.0, 1.0), std::logic_error);
 }
 
 TEST(TimeSeriesCursorTest, DuplicateTimestampStepEdgeLastWins) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 
 namespace eacs::trace {
@@ -28,6 +29,25 @@ TEST(TimeSeriesTest, ConstructorValidates) {
   EXPECT_THROW(TimeSeries({{1.0, 0.0}, {0.5, 1.0}}), std::invalid_argument);
   EXPECT_NO_THROW(TimeSeries({{1.0, 0.0}, {1.0, 1.0}}));
   EXPECT_NO_THROW(TimeSeries({{0.0, 0.0}, {1.0, 1.0}}));
+}
+
+// A NaN timestamp compares false against everything, so the order check
+// used to let it through, and with it a series that goes backwards.
+TEST(TimeSeriesTest, NonFiniteTimestampsAreRejected) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(TimeSeries({{2.0, 1.0}, {nan, 2.0}, {1.0, 3.0}}), std::invalid_argument);
+  EXPECT_THROW(TimeSeries({{nan, 1.0}}), std::invalid_argument);
+  EXPECT_THROW(TimeSeries({{0.0, 1.0}, {inf, 2.0}}), std::invalid_argument);
+  EXPECT_THROW(TimeSeries({{-inf, 1.0}, {0.0, 2.0}}), std::invalid_argument);
+  TimeSeries series;
+  series.append(5.0, 1.0);
+  EXPECT_THROW(series.append(nan, 2.0), std::invalid_argument);
+  EXPECT_THROW(series.append(inf, 2.0), std::invalid_argument);
+  EXPECT_THROW(series.append(0.0, 3.0), std::invalid_argument);
+  EXPECT_EQ(series.size(), 1U);
+  // Non-finite values are still data (a dead or unknown reading).
+  EXPECT_NO_THROW(series.append(6.0, nan));
 }
 
 TEST(TimeSeriesTest, DuplicateTimestampIsStepDiscontinuity) {
